@@ -1,8 +1,11 @@
 """Command-line front end and parameter-grid sweep orchestration.
 
-Every checker is registered by name with its parameter list; run_check
-dispatches a flat {param: int} record and turns math-level ValueErrors
-into errored reports (unknown names or parameters raise instead).
+Every checker is registered by name with its parameter list and its
+Bernoulli demand; the registry is the only description of a checker, and
+both the CLI subcommands and the sweep's table prewarm are derived from
+it.  run_check dispatches a flat {param: int} record and turns math-level
+ValueErrors into errored reports (unknown names or parameters raise
+instead).
 run_sweep expands each check's grid as a Cartesian product in sorted
 parameter order, so report order is deterministic regardless of the
 parallelism degree.
@@ -19,13 +22,12 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
-from . import congruence_suite, jet, powersum, spectrum
+from . import __version__, congruence_suite, jet, powersum, spectrum
 from .bernoulli import adams_check, bernoulli, prewarm, von_staudt_clausen_check
 from .params import ParameterSet, StrongParameterSet
 from .report import CheckReport
-
-__version__ = "0.1.0"
 
 
 def _ps(args: dict) -> ParameterSet:
@@ -36,17 +38,26 @@ def _strong_ps(args: dict) -> StrongParameterSet:
     return StrongParameterSet(args["p"], args["a"], args["t"], args["k"])
 
 
+def _case_shift(a: dict) -> int:
+    return a["p"] ** a["a"] * (a["p"] - 1)
+
+
 @dataclass(frozen=True)
 class CheckerSpec:
-    run: callable
+    run: Callable[[dict], CheckReport]
     params: tuple[str, ...]
     optional: tuple[str, ...] = ()
+    # largest Bernoulli index a point reads, so sweeps can prewarm the table
+    demand: Callable[[dict], int] = lambda a: 0
+    # CLI flag spellings that differ from the parameter name
+    flags: dict[str, str] = field(default_factory=dict)
 
 
 REGISTRY: dict[str, CheckerSpec] = {
     "kummer": CheckerSpec(
         lambda a: congruence_suite.kummer_check(a["p"], a["a"], a["r"], a["s"]),
         ("p", "a", "r", "s"),
+        demand=lambda a: max(a["r"], a["s"]),
     ),
     "theorem2": CheckerSpec(
         lambda a: congruence_suite.theorem2_check(_strong_ps(a), a["r"]),
@@ -62,10 +73,12 @@ REGISTRY: dict[str, CheckerSpec] = {
     "case1": CheckerSpec(
         lambda a: congruence_suite.case1_step_check(a["p"], a["a"], a["r"]),
         ("p", "a", "r"),
+        demand=lambda a: a["r"] + _case_shift(a),
     ),
     "case2": CheckerSpec(
         lambda a: congruence_suite.case2_check(_strong_ps(a), a["b"]),
         ("p", "a", "t", "k", "b"),
+        demand=lambda a: (a["k"] + max(abs(a["b"]), 1) * _case_shift(a)) * a["p"] ** a["t"],
     ),
     "case3": CheckerSpec(
         lambda a: congruence_suite.case3_branch_check(_strong_ps(a)),
@@ -74,10 +87,12 @@ REGISTRY: dict[str, CheckerSpec] = {
     "lemma1": CheckerSpec(
         lambda a: powersum.lemma1_check(a["p"], a["a"], a["r"]),
         ("p", "a", "r"),
+        demand=lambda a: a["r"],
     ),
     "lemma2": CheckerSpec(
         lambda a: powersum.lemma2_check(a["p"], a["a"], a["rr"], a["kk"]),
         ("p", "a", "rr", "kk"),
+        flags={"kk": "k"},
     ),
     "lemma4": CheckerSpec(
         lambda a: jet.lemma4_check(_ps(a), a["m"], a["n"]),
@@ -110,10 +125,12 @@ REGISTRY: dict[str, CheckerSpec] = {
     "adams": CheckerSpec(
         lambda a: adams_check(a["r"], a["p"]),
         ("r", "p"),
+        demand=lambda a: a["r"],
     ),
     "von_staudt_clausen": CheckerSpec(
         lambda a: von_staudt_clausen_check(a["n"]),
         ("n",),
+        demand=lambda a: a["n"],
     ),
 }
 
@@ -153,10 +170,12 @@ class SweepConfig:
         if not isinstance(checks, list):
             raise ValueError("'checks' must be a list")
         for entry in checks:
+            if not isinstance(entry, dict):
+                raise ValueError(f"each check must be an object, got {entry!r}")
             name = entry.get("name")
-            checker = REGISTRY.get(name)
-            if checker is None:
+            if not isinstance(name, str) or name not in REGISTRY:
                 raise ValueError(f"unknown checker name: {name!r}")
+            checker = REGISTRY[name]
             grid = entry.get("grid")
             if not isinstance(grid, dict) or not grid:
                 raise ValueError(f"check {name!r} needs a nonempty 'grid' object")
@@ -166,10 +185,22 @@ class SweepConfig:
                     raise ValueError(f"{key!r} is not a parameter of {name!r}")
                 if not isinstance(values, list) or not values:
                     raise ValueError(f"grid entry {name}.{key} must be a nonempty list")
+                if not all(map(_is_int, values)):
+                    raise ValueError(f"grid entry {name}.{key} must list integers, got {values!r}")
             missing = set(checker.params) - set(grid)
             if missing:
                 raise ValueError(f"check {name!r} is missing grid keys {sorted(missing)}")
-        return cls(checks=checks, jobs=int(raw.get("jobs", 1)))
+        return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _jobs(value) -> int:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"jobs must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -219,27 +250,9 @@ def _run_point(point: tuple[str, dict]) -> CheckReport:
     return run_check(point[0], point[1])
 
 
-def _bernoulli_demand(name: str, args: dict) -> int:
-    """Largest Bernoulli index a grid point will touch, for pre-warming."""
-    if name in ("kummer",):
-        return max(args["r"], args["s"])
-    if name == "adams":
-        return args["r"]
-    if name == "von_staudt_clausen":
-        return args["n"]
-    if name == "lemma1":
-        return args["r"]
-    if name == "case1":
-        return args["r"] + args["p"] ** args["a"] * (args["p"] - 1)
-    if name == "case2":
-        shift = args["p"] ** args["a"] * (args["p"] - 1)
-        return (args["k"] + max(abs(args["b"]), 1) * shift) * args["p"] ** args["t"]
-    return 0
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     points = list(grid_points(config))
-    demand = max((_bernoulli_demand(n, a) for n, a in points), default=0)
+    demand = max((REGISTRY[n].demand(a) for n, a in points), default=0)
     if demand:
         prewarm(demand)
     if config.jobs > 1:
@@ -276,24 +289,6 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-_CLI_CHECKS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    # subcommand -> (required flags, optional flags); flag --k feeds param kk
-    "kummer": (("p", "a", "r", "s"), ()),
-    "theorem2": (("p", "a", "t", "k", "r"), ()),
-    "corollary2": (("p", "a", "t", "b"), ("v",)),
-    "case1": (("p", "a", "r"), ()),
-    "case2": (("p", "a", "t", "k", "b"), ()),
-    "case3": (("p", "a", "t", "k"), ()),
-    "lemma1": (("p", "a", "r"), ()),
-    "lemma2": (("p", "a", "rr", "k"), ()),
-    "lemma4": (("p", "a", "t", "k", "m", "n"), ()),
-    "lemma5": (("p", "a", "t", "k", "s"), ()),
-    "corollary3": (("p", "a", "t", "k", "s0", "kk", "x"), ()),
-    "theorem1": (("p", "a", "t", "k"), ()),
-    "theorem3": (("p", "a", "t", "k"), ()),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padlab",
@@ -303,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"padlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (required, optional) in _CLI_CHECKS.items():
+    for name, spec in REGISTRY.items():
         sp = sub.add_parser(name, help=f"run the {name} checker")
-        for flag in required:
-            sp.add_argument(f"--{flag}", type=int, required=True)
-        for flag in optional:
-            sp.add_argument(f"--{flag}", type=int, default=None)
+        for param in spec.params + spec.optional:
+            flag = spec.flags.get(param, param)
+            sp.add_argument(f"--{flag}", dest=param, type=int, required=param in spec.params)
 
     sp = sub.add_parser("stabilizer", help="stabilizer order and generator of S")
     for flag in ("p", "a", "t", "k"):
@@ -339,14 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
 
-    if cmd in _CLI_CHECKS:
-        required, optional = _CLI_CHECKS[cmd]
-        record = {}
-        for flag in required + optional:
-            value = getattr(args, flag)
-            if value is None:
-                continue
-            record["kk" if cmd == "lemma2" and flag == "k" else flag] = value
+    spec = REGISTRY.get(cmd)
+    if spec is not None:
+        record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
         report = run_check(cmd, record)
         print(_dump(report.to_json_dict()))
         return _check_exit_code(report)
@@ -355,28 +344,16 @@ def main(argv: list[str] | None = None) -> int:
         try:
             ps = ParameterSet(args.p, args.a, args.t, args.k)
             s = spectrum.build_S(ps)
+            out = {"parameters": {k: str(v) for k, v in ps.as_dict().items()}}
             if cmd == "stabilizer":
                 sub = spectrum.stabilizer(s)
-                print(
-                    _dump(
-                        {
-                            "parameters": {k: str(v) for k, v in ps.as_dict().items()},
-                            "order": str(sub.order),
-                            "generator": str(sub.generator.value),
-                            "modulus": {"p": str(ps.p), "exp": ps.M},
-                        }
-                    )
-                )
+                out["order"] = str(sub.order)
+                out["generator"] = str(sub.generator.value)
+                out["modulus"] = {"p": str(ps.p), "exp": ps.M}
             else:
-                print(
-                    _dump(
-                        {
-                            "parameters": {k: str(v) for k, v in ps.as_dict().items()},
-                            "j": args.j,
-                            "balanced": spectrum.j_balanced(s, args.j),
-                        }
-                    )
-                )
+                out["j"] = args.j
+                out["balanced"] = spectrum.j_balanced(s, args.j)
+            print(_dump(out))
             return 0
         except ValueError as exc:
             print(_dump({"error": str(exc)}), file=sys.stderr)
@@ -395,11 +372,11 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
             config = SweepConfig.from_dict(raw)
+            if args.jobs is not None:
+                config.jobs = _jobs(args.jobs)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             print(_dump({"error": str(exc)}), file=sys.stderr)
             return 2
-        if args.jobs is not None:
-            config.jobs = args.jobs
         sweep = run_sweep(config)
         body = _dump(sweep.to_json_dict()) + "\n"
         try:

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli
 from .padic_core import PrimePowerModulus, is_odd_prime, reduce_rational, vp
-from .params import ParameterSet
+from .params import ParameterSet, StrongParameterSet
+from .powersum import power_sum_mod
 from .report import (
     MARGIN_WINDOW,
     CheckReport,
@@ -33,31 +34,24 @@ from .report import (
 )
 
 
-def _require_strong(ps: ParameterSet) -> None:
-    base = 2 * ps.p ** (2 * ps.a + 1)
-    if ps.k % base != 0:
-        raise ValueError(f"k = {ps.k} is not divisible by 2p^(2a+1) = {base}")
-    if ps.k % (ps.p - 1) == 0:
-        raise ValueError(f"k = {ps.k} must not be divisible by p-1 = {ps.p - 1}")
-
-
-def _mod_power_sum(n_max: int, e: int, modulus: int) -> int:
-    return sum(pow(n, e, modulus) for n in range(1, n_max + 1)) % modulus
+def _strong(ps: ParameterSet) -> StrongParameterSet:
+    """ps with the hypotheses 2p^(2a+1) | k and (p-1) ∤ k checked."""
+    return ps if isinstance(ps, StrongParameterSet) else StrongParameterSet(ps.p, ps.a, ps.t, ps.k)
 
 
 @timed_check
 def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
     """Check the linearity of sum n^((k+p^a(p-1)r)p^t) in r, mod p^M."""
-    _require_strong(ps)
+    ps = _strong(ps)
     shift = ps.p**ps.a * (ps.p - 1)
     if ps.k + shift * r <= 0:
         raise ValueError(f"k + p^a(p-1)r = {ps.k + shift * r} must be positive")
 
     exponent = ps.M
-    big = ps.p ** (exponent + MARGIN_WINDOW)
+    big = PrimePowerModulus(ps.p, exponent + MARGIN_WINDOW)
     n_max = ps.p ** (ps.a + 1)
-    sum_r = _mod_power_sum(n_max, (ps.k + shift * r) * ps.p**ps.t, big)
-    sum_1 = _mod_power_sum(n_max, (ps.k + shift) * ps.p**ps.t, big)
+    sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, big).value
+    sum_1 = power_sum_mod(n_max, (ps.k + shift) * ps.p**ps.t, big).value
     margin = integer_margin(sum_r - r * sum_1, ps.p, exponent)
     pe = ps.p**exponent
     return CheckReport(
@@ -170,7 +164,7 @@ def case1_step_check(p: int, a: int, r: int, check_hypothesis: bool = True) -> C
 def case2_check(ps: ParameterSet, b: int) -> CheckReport:
     """Check (k+p^a(p-1)) B_{(k+b p^a(p-1))p^t} ≡ (k+b p^a(p-1)) B_{(k+p^a(p-1))p^t}
     mod p^(3a+t+1)."""
-    _require_strong(ps)
+    ps = _strong(ps)
     shift = ps.p**ps.a * (ps.p - 1)
     index_b = (ps.k + b * shift) * ps.p**ps.t
     index_1 = (ps.k + shift) * ps.p**ps.t
@@ -200,16 +194,16 @@ def case2_check(ps: ParameterSet, b: int) -> CheckReport:
 @timed_check
 def case3_branch_check(ps: ParameterSet) -> CheckReport:
     """Check sum n^((k+p^a(p-1))p^t) ≡ p * sum n^((k+p^a(p-1))p^(t-1)) mod p^(3a+t+2)."""
-    _require_strong(ps)
+    ps = _strong(ps)
     if ps.t < 1:
         raise ValueError("t must be >= 1 for the branching step")
 
     exponent = 3 * ps.a + ps.t + 2
-    big = ps.p ** (exponent + MARGIN_WINDOW)
+    big = PrimePowerModulus(ps.p, exponent + MARGIN_WINDOW)
     n_max = ps.p ** (ps.a + 1)
     base = ps.k + ps.p**ps.a * (ps.p - 1)
-    sum_t = _mod_power_sum(n_max, base * ps.p**ps.t, big)
-    sum_t1 = _mod_power_sum(n_max, base * ps.p ** (ps.t - 1), big)
+    sum_t = power_sum_mod(n_max, base * ps.p**ps.t, big).value
+    sum_t1 = power_sum_mod(n_max, base * ps.p ** (ps.t - 1), big).value
     margin = integer_margin(sum_t - ps.p * sum_t1, ps.p, exponent)
     pe = ps.p**exponent
     return CheckReport(

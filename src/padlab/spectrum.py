@@ -62,10 +62,6 @@ class ResidueMultiset:
             return NotImplemented
         return self.modulus == other.modulus and self.counts == other.counts
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __len__(self):
         return len(self.counts)
 
@@ -95,37 +91,33 @@ def eval_f(ps: ParameterSet, n: int) -> Residue:
     return m.residue(pow(n, e_plus, m.modulus) + pow(n, e_minus, m.modulus))
 
 
+def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
+    """The multiset of invertible values f(n) mod p^M over n in ns."""
+    m = ps.modulus()
+    e_plus, e_minus = f_exponents(ps)
+    pM = m.modulus
+    counts: Counter[int] = Counter()
+    for n in ns:
+        val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
+        if val % ps.p != 0:
+            counts[val] += 1
+    return ResidueMultiset(m, counts)
+
+
 def build_S(ps: ParameterSet) -> ResidueMultiset:
     """The multiset of invertible values f(n) mod p^M for n = 1..p^(a+1).
 
     Values divisible by p (exactly the n with p | n) are dropped, so the
     total multiplicity is p^(a+1) - p^a.
     """
-    m = ps.modulus()
-    e_plus, e_minus = f_exponents(ps)
-    pM = m.modulus
-    counts: Counter[int] = Counter()
-    for n in range(1, ps.p ** (ps.a + 1) + 1):
-        val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
-        if val % ps.p != 0:
-            counts[val] += 1
-    return ResidueMultiset(m, counts)
+    return _f_multiset(ps, range(1, ps.p ** (ps.a + 1) + 1))
 
 
 def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
     """As build_S but restricted to n ≡ x (mod p); total multiplicity p^a."""
     if x % ps.p == 0:
         raise ValueError(f"x = {x} must be invertible mod p = {ps.p}")
-    m = ps.modulus()
-    e_plus, e_minus = f_exponents(ps)
-    pM = m.modulus
-    counts: Counter[int] = Counter()
-    start = x % ps.p or ps.p
-    for n in range(start, ps.p ** (ps.a + 1) + 1, ps.p):
-        val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
-        if val % ps.p != 0:
-            counts[val] += 1
-    return ResidueMultiset(m, counts)
+    return _f_multiset(ps, range(x % ps.p, ps.p ** (ps.a + 1) + 1, ps.p))
 
 
 def act(g: Residue | int, s: ResidueMultiset) -> ResidueMultiset:

@@ -2,15 +2,39 @@ import json
 
 import pytest
 
+from padlab.bernoulli import BernoulliTable
 from padlab.cli import (
     REGISTRY,
     SweepConfig,
+    build_parser,
     canonical_body,
     grid_points,
     main,
     run_check,
     run_sweep,
 )
+
+
+# one valid, holding point per registered checker
+POINTS = {
+    "kummer": {"p": 5, "a": 0, "r": 2, "s": 6},
+    "theorem2": {"p": 5, "a": 0, "t": 0, "k": 10, "r": 2},
+    "corollary2": {"p": 5, "a": 0, "t": 0, "b": 6},
+    "case1": {"p": 5, "a": 1, "r": 2},
+    "case2": {"p": 5, "a": 0, "t": 0, "k": 10, "b": 2},
+    "case3": {"p": 5, "a": 0, "t": 1, "k": 10},
+    "lemma1": {"p": 5, "a": 1, "r": 4},
+    "lemma2": {"p": 5, "a": 1, "rr": 1, "kk": 5},
+    "lemma4": {"p": 5, "a": 0, "t": 0, "k": 10, "m": 1, "n": 1},
+    "lemma5": {"p": 5, "a": 0, "t": 0, "k": 10, "s": 0},
+    "corollary3": {"p": 5, "a": 0, "t": 0, "k": 10, "s0": 1, "kk": 1, "x": 1},
+    "theorem1": {"p": 5, "a": 0, "t": 0, "k": 10},
+    "theorem3": {"p": 5, "a": 0, "t": 0, "k": 10},
+    "transport": {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 2, "n": 1},
+    "corollary1": {"p": 5, "a": 0, "t": 0, "k": 10, "x": 2, "mu": 4},
+    "adams": {"r": 6, "p": 5},
+    "von_staudt_clausen": {"n": 12},
+}
 
 
 class TestRunCheck:
@@ -38,30 +62,45 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="missing parameters"):
             run_check("kummer", {"p": 5})
 
-    def test_every_registered_checker_has_a_working_point(self):
-        points = {
-            "kummer": {"p": 5, "a": 0, "r": 2, "s": 6},
-            "theorem2": {"p": 5, "a": 0, "t": 0, "k": 10, "r": 2},
-            "corollary2": {"p": 5, "a": 0, "t": 0, "b": 6},
-            "case1": {"p": 5, "a": 1, "r": 2},
-            "case2": {"p": 5, "a": 0, "t": 0, "k": 10, "b": 2},
-            "case3": {"p": 5, "a": 0, "t": 1, "k": 10},
-            "lemma1": {"p": 5, "a": 1, "r": 4},
-            "lemma2": {"p": 5, "a": 1, "rr": 1, "kk": 5},
-            "lemma4": {"p": 5, "a": 0, "t": 0, "k": 10, "m": 1, "n": 1},
-            "lemma5": {"p": 5, "a": 0, "t": 0, "k": 10, "s": 0},
-            "corollary3": {"p": 5, "a": 0, "t": 0, "k": 10, "s0": 1, "kk": 1, "x": 1},
-            "theorem1": {"p": 5, "a": 0, "t": 0, "k": 10},
-            "theorem3": {"p": 5, "a": 0, "t": 0, "k": 10},
-            "transport": {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 2, "n": 1},
-            "corollary1": {"p": 5, "a": 0, "t": 0, "k": 10, "x": 2, "mu": 4},
-            "adams": {"r": 6, "p": 5},
-            "von_staudt_clausen": {"n": 12},
-        }
-        assert set(points) == set(REGISTRY)
-        for name, args in points.items():
+    def test_every_registered_checker_has_a_working_point(self, capsys):
+        assert set(POINTS) == set(REGISTRY)
+        for name, args in POINTS.items():
             rep = run_check(name, args)
             assert rep.error is None and rep.holds, (name, rep.error)
+            # the same point as a subcommand, flags spelled as the registry says
+            spec = REGISTRY[name]
+            argv = [name]
+            for param, value in args.items():
+                argv += [f"--{spec.flags.get(param, param)}", str(value)]
+            assert main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out)["holds"] is True
+
+    @pytest.mark.parametrize(
+        "name, args",
+        list(POINTS.items())
+        + [
+            ("kummer", {"p": 5, "a": 1, "r": 26, "s": 6}),
+            ("case1", {"p": 7, "a": 2, "r": 4}),
+            ("case2", {"p": 5, "a": 0, "t": 0, "k": 10, "b": 0}),
+            ("case2", {"p": 5, "a": 0, "t": 0, "k": 10, "b": -1}),
+            ("case2", {"p": 5, "a": 0, "t": 1, "k": 10, "b": 3}),
+        ],
+    )
+    def test_prewarm_demand_covers_bernoulli_reads(self, monkeypatch, name, args):
+        read = []
+        value = BernoulliTable.value
+
+        def recording_value(self, n):
+            read.append(n)
+            return value(self, n)
+
+        monkeypatch.setattr(BernoulliTable, "value", recording_value)
+        run_check(name, args)
+        demand = REGISTRY[name].demand(args)
+        if demand == 0:
+            assert read == []
+        else:
+            assert read and max(read) <= demand, (read, demand)
 
 
 class TestReportJson:
@@ -147,6 +186,19 @@ class TestSweep:
             SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": {"p": [5]}}]})
         with pytest.raises(ValueError, match="checks"):
             SweepConfig.from_dict({})
+        with pytest.raises(ValueError, match="must be an object"):
+            SweepConfig.from_dict({"checks": [5]})
+        for name in (5, ["kummer"], None):
+            with pytest.raises(ValueError, match="unknown checker"):
+                SweepConfig.from_dict({"checks": [{"name": name, "grid": {"p": [5]}}]})
+        for bad in ("5", 5.0, True, False, None):
+            grid = {"p": [5, bad], "a": [0], "r": [2], "s": [6]}
+            with pytest.raises(ValueError, match="must list integers"):
+                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
+        for jobs in (-3, 0, True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match="jobs"):
+                SweepConfig.from_dict({"checks": [], "jobs": jobs})
+        assert SweepConfig.from_dict({"checks": [], "jobs": 3}).jobs == 3
 
 
 class TestMain:
@@ -165,6 +217,12 @@ class TestMain:
         code = main(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--k", "4"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2 and out["error"]
+
+    def test_lemma2_kk_is_spelled_k(self):
+        args = build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--k", "5"])
+        assert args.kk == 5
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--kk", "5"])
 
     def test_corollary2_optional_v(self, capsys):
         code = main(["corollary2", "--p", "5", "--a", "0", "--t", "0", "--b", "6", "--v", "0"])
@@ -205,3 +263,23 @@ class TestMain:
         cfg.write_text("{not json")
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "raw, extra",
+        [
+            ({"checks": [5]}, []),
+            ({"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": ["2"], "s": [6]}}]}, []),
+            ({"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2.0], "s": [6]}}]}, []),
+            ({"checks": [], "jobs": -3}, []),
+            ({"checks": [], "jobs": True}, []),
+            (KUMMER_GRID, ["--jobs", "0"]),
+        ],
+    )
+    def test_sweep_malformed_config_exits_2(self, tmp_path, capsys, raw, extra):
+        cfg = tmp_path / "cfg.json"
+        out_path = tmp_path / "o.json"
+        cfg.write_text(json.dumps(raw))
+        code = main(["sweep", "--config", str(cfg), "--out", str(out_path)] + extra)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+        assert not out_path.exists()
