@@ -2,10 +2,10 @@
 
 Every checker is registered by name with its parameter list and its
 Bernoulli demand; the registry is the only description of a checker, and
-both the CLI subcommands and the sweep's table prewarm are derived from
-it.  run_check dispatches a flat {param: int} record and turns math-level
-ValueErrors into errored reports (unknown names or parameters raise
-instead).
+both the CLI subcommands and the pooled sweep's table prewarm are
+derived from it.  run_check dispatches a flat {param: int} record and
+turns math-level ValueErrors into errored reports (unknown names or
+parameters raise instead).
 run_sweep expands each check's grid as a Cartesian product in sorted
 parameter order, so report order is deterministic regardless of the
 parallelism degree.
@@ -26,16 +26,12 @@ from typing import Callable
 
 from . import __version__, congruence_suite, jet, powersum, spectrum
 from .bernoulli import adams_check, bernoulli, prewarm, von_staudt_clausen_check
-from .params import ParameterSet, StrongParameterSet
+from .params import ParameterSet
 from .report import CheckReport
 
 
 def _ps(args: dict) -> ParameterSet:
     return ParameterSet(args["p"], args["a"], args["t"], args["k"])
-
-
-def _strong_ps(args: dict) -> StrongParameterSet:
-    return StrongParameterSet(args["p"], args["a"], args["t"], args["k"])
 
 
 def _case_shift(a: dict) -> int:
@@ -47,7 +43,7 @@ class CheckerSpec:
     run: Callable[[dict], CheckReport]
     params: tuple[str, ...]
     optional: tuple[str, ...] = ()
-    # largest Bernoulli index a point reads, so sweeps can prewarm the table
+    # largest Bernoulli index a point reads, so pooled sweeps can prewarm the table
     demand: Callable[[dict], int] = lambda a: 0
     # CLI flag spellings that differ from the parameter name
     flags: dict[str, str] = field(default_factory=dict)
@@ -60,7 +56,7 @@ REGISTRY: dict[str, CheckerSpec] = {
         demand=lambda a: max(a["r"], a["s"]),
     ),
     "theorem2": CheckerSpec(
-        lambda a: congruence_suite.theorem2_check(_strong_ps(a), a["r"]),
+        lambda a: congruence_suite.theorem2_check(_ps(a), a["r"]),
         ("p", "a", "t", "k", "r"),
     ),
     "corollary2": CheckerSpec(
@@ -76,12 +72,12 @@ REGISTRY: dict[str, CheckerSpec] = {
         demand=lambda a: a["r"] + _case_shift(a),
     ),
     "case2": CheckerSpec(
-        lambda a: congruence_suite.case2_check(_strong_ps(a), a["b"]),
+        lambda a: congruence_suite.case2_check(_ps(a), a["b"]),
         ("p", "a", "t", "k", "b"),
         demand=lambda a: (a["k"] + max(abs(a["b"]), 1) * _case_shift(a)) * a["p"] ** a["t"],
     ),
     "case3": CheckerSpec(
-        lambda a: congruence_suite.case3_branch_check(_strong_ps(a)),
+        lambda a: congruence_suite.case3_branch_check(_ps(a)),
         ("p", "a", "t", "k"),
     ),
     "lemma1": CheckerSpec(
@@ -252,15 +248,11 @@ def _run_point(point: tuple[str, dict]) -> CheckReport:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     points = list(grid_points(config))
-    demand = max((REGISTRY[n].demand(a) for n, a in points), default=0)
-    if demand:
-        prewarm(demand)
     if config.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.jobs,
-            initializer=prewarm,
-            initargs=(demand,),
-        ) as pool:
+        # grow the table once in the parent so forked workers inherit it;
+        # a serial sweep grows it lazily, only for points that read it
+        prewarm(max((REGISTRY[n].demand(a) for n, a in points), default=0))
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_run_point, points))
     else:
         reports = [_run_point(pt) for pt in points]

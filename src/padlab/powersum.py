@@ -7,19 +7,21 @@ Bernoulli data:
     lemma1:  sum_{n=1}^{p^a} n^r  vs  p^a * B_r     mod p^(2a+vp(r)+1)
     lemma2:  sum_{n=1}^{p^a} n^k  vs  0             mod p^(r+a)
 
+Both evaluate their sum once, mod p^(E + MARGIN_WINDOW), which gives the
+reported side and the saturated margin alike.  power_sum_exact is the
+exact reference the modular kernel is tested against.
+
 lemma1 is a reporter, not an assertion: the stated congruence has
 documented failures (r = 2, and more generally small-a points where
-(p-1) | r-2), so the report records holds/fails plus the exact margin
-and the caller maps the validity region.
+(p-1) | r-2), so the report records holds/fails plus the margin and the
+caller maps the validity region.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bernoulli import bernoulli
-from .padic_core import PrimePowerModulus, Residue, is_odd_prime, reduce_rational, vp
-from .report import CheckReport, rational_margin, timed_check
+from .padic_core import PrimePowerModulus, Residue, is_odd_prime, vp
+from .report import MARGIN_WINDOW, CheckReport, congruence_report, timed_check
 
 
 def power_sum_mod(n_max: int, e: int, m: PrimePowerModulus) -> Residue:
@@ -34,7 +36,7 @@ def power_sum_mod(n_max: int, e: int, m: PrimePowerModulus) -> Residue:
 
 
 def power_sum_exact(n_max: int, e: int) -> int:
-    """The same sum as an exact big integer (used for exact margins)."""
+    """The same sum as an exact big integer."""
     return sum(n**e for n in range(1, n_max + 1))
 
 
@@ -49,20 +51,9 @@ def lemma1_check(p: int, a: int, r: int) -> CheckReport:
         raise ValueError(f"r must be even and positive, got {r}")
 
     exponent = 2 * a + vp(r, p) + 1
-    m = PrimePowerModulus(p, exponent)
-    lhs = power_sum_mod(p**a, r, m)
-    rhs = reduce_rational(p**a * bernoulli(r), m)  # p^a * B_r is p-integral: vp(B_r) >= -1
-    diff = Fraction(power_sum_exact(p**a, r)) - p**a * bernoulli(r)
-    margin = rational_margin(diff, p, exponent)
-    return CheckReport(
-        name="lemma1",
-        inputs={"p": p, "a": a, "r": r},
-        holds=lhs == rhs,
-        lhs=str(lhs),
-        rhs=str(rhs),
-        modulus=(p, exponent),
-        margin=margin,
-    )
+    lhs = power_sum_mod(p**a, r, PrimePowerModulus(p, exponent + MARGIN_WINDOW)).value
+    rhs = p**a * bernoulli(r)  # p-integral: vp(B_r) >= -1
+    return congruence_report("lemma1", {"p": p, "a": a, "r": r}, lhs, rhs, p, exponent)
 
 
 @timed_check
@@ -82,18 +73,8 @@ def lemma2_check(p: int, a: int, rr: int, kk: int) -> CheckReport:
         raise ValueError(f"p^rr = {p**rr} must divide k = {kk}")
 
     exponent = rr + a
-    m = PrimePowerModulus(p, exponent)
-    lhs = power_sum_mod(p**a, kk, m)
-    margin = rational_margin(Fraction(power_sum_exact(p**a, kk)), p, exponent)
-    return CheckReport(
-        name="lemma2",
-        inputs={"p": p, "a": a, "rr": rr, "kk": kk},
-        holds=lhs.value == 0,
-        lhs=str(lhs),
-        rhs="0",
-        modulus=(p, exponent),
-        margin=margin,
-    )
+    lhs = power_sum_mod(p**a, kk, PrimePowerModulus(p, exponent + MARGIN_WINDOW)).value
+    return congruence_report("lemma2", {"p": p, "a": a, "rr": rr, "kk": kk}, lhs, 0, p, exponent)
 
 
 def is_prime_gt3(p: int) -> bool:

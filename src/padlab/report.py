@@ -2,10 +2,12 @@
 
 A CheckReport says whether a congruence held, shows both sides, and
 carries a valuation margin: vp(lhs - rhs) minus the required modulus
-exponent.  Margins are exact when the checker works on exact integers
-or rationals; checkers that only compute modulo p^(E + MARGIN_WINDOW)
-saturate the margin at +MARGIN_WINDOW.  A margin is None for checks
-with no scalar difference (multiset equality, counts).
+exponent, saturated at +MARGIN_WINDOW.  Every two-sided checker builds
+its report with congruence_report, from sides that are exact or already
+reduced mod p^(E + MARGIN_WINDOW); the saturated margin is the same
+either way.  corollary2 is the one exact, unsaturated reporter.  A
+margin is None for checks with no scalar difference (multiset equality,
+counts).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 
-from .padic_core import vp, vp_rational
+from .padic_core import PrimePowerModulus, reduce_rational, vp, vp_rational
 
 # How far beyond the required exponent modular checkers look when
 # measuring the margin.  Exact checkers are capped at the same value so
@@ -94,7 +96,37 @@ def integer_margin(diff: int, p: int, required: int, *, window: int = MARGIN_WIN
 
 
 def rational_margin(diff: Fraction, p: int, required: int, *, window: int = MARGIN_WINDOW) -> int:
-    """vp(diff) - required for an exact rational difference, saturated above."""
+    """vp(diff) - required for a rational difference, saturated above.
+
+    diff may be exact or known only mod p^(required + window): the
+    saturated value is the same.
+    """
     if diff == 0:
         return window
     return min(vp_rational(diff, p) - required, window)
+
+
+def congruence_report(
+    name: str, inputs: dict, lhs, rhs, p: int, exponent: int, details: dict | None = None
+) -> CheckReport:
+    """The verdict on lhs ≡ rhs mod p^exponent.
+
+    Each side is an int or a p-integral Fraction, exact or reduced mod
+    p^(exponent + MARGIN_WINDOW): min(vp(D) - E, W) depends only on
+    D mod p^(E + W), so both give the same report.
+    """
+    for side, q in (("lhs", lhs), ("rhs", rhs)):
+        if q.denominator % p == 0:
+            raise ArithmeticError(f"{side} {q} is unexpectedly not a {p}-integer")
+    margin = rational_margin(lhs - rhs, p, exponent)
+    m = PrimePowerModulus(p, exponent)
+    return CheckReport(
+        name=name,
+        inputs=inputs,
+        holds=margin >= 0,
+        lhs=str(reduce_rational(lhs, m)),
+        rhs=str(reduce_rational(rhs, m)),
+        modulus=(p, exponent),
+        margin=margin,
+        details=details or {},
+    )

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -142,6 +143,19 @@ class TestSweep:
         sweep = run_sweep(cfg)
         assert sweep.summary == {"total": 3, "held": 2, "failed": 0, "errored": 1}
         assert sweep.exit_code() == 2
+
+    def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch):
+        # k = 15 fails 2p | k, so the point errors before reading B_575,
+        # the index its demand names; padlab.bernoulli is the function,
+        # hence sys.modules
+        table = BernoulliTable()
+        monkeypatch.setattr(sys.modules["padlab.bernoulli"], "_TABLE", table)
+        cfg = SweepConfig.from_dict(
+            {"checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2]}}]}
+        )
+        sweep = run_sweep(cfg)
+        assert sweep.summary["errored"] == 1
+        assert len(table) == 2
 
     def test_failed_point_gives_exit_1(self):
         cfg = SweepConfig.from_dict(

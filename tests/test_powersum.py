@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padlab.bernoulli import bernoulli
-from padlab.padic_core import PrimePowerModulus
+from padlab.padic_core import PrimePowerModulus, vp
 from padlab.powersum import lemma1_check, lemma2_check, power_sum_exact, power_sum_mod
+from padlab.report import MARGIN_WINDOW, congruence_report
 
 M25 = PrimePowerModulus(5, 2)
 
@@ -112,3 +113,35 @@ class TestLemma2:
         for kk in (5, 10, 15, 30):
             rep = lemma2_check(5, 1, 1, kk)
             assert rep.holds == (rep.margin >= 0)
+
+    @pytest.mark.parametrize("kk,margin", [(3**8, 7), (3**9, 8), (3**10, 8)])
+    def test_windowed_margin_equals_exact_margin(self, kk, margin):
+        # the sum is taken mod 3^(2 + MARGIN_WINDOW); at 3^10 the exact
+        # margin is 9 and saturates to the window
+        rep = lemma2_check(3, 1, 1, kk)
+        assert rep.margin == margin
+        assert rep.margin == min(vp(power_sum_exact(3, kk), 3) - 2, MARGIN_WINDOW)
+
+
+class TestCongruenceReport:
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=0, max_value=16),
+        st.integers(min_value=-50, max_value=50),
+        st.sampled_from([1, 2, 4, 11]),
+    )
+    def test_windowed_side_gives_same_report(self, p, exponent, lhs, j, u, d):
+        # rhs is lhs moved by u p^j / d, so every margin up to saturation occurs
+        rhs = lhs + Fraction(u * p**j, d)
+        windowed = lhs % p ** (exponent + MARGIN_WINDOW)
+        exact = congruence_report("c", {}, lhs, rhs, p, exponent)
+        assert congruence_report("c", {}, windowed, rhs, p, exponent) == exact
+        if rhs.denominator == 1:
+            rhs_windowed = int(rhs) % p ** (exponent + MARGIN_WINDOW)
+            assert congruence_report("c", {}, windowed, rhs_windowed, p, exponent) == exact
+
+    def test_rejects_side_that_is_not_p_integral(self):
+        with pytest.raises(ArithmeticError, match="rhs 1/5 is unexpectedly not a 5-integer"):
+            congruence_report("c", {}, 1, Fraction(1, 5), 5, 2)
