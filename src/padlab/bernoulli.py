@@ -4,11 +4,9 @@ Convention: B_1 = -1/2 (the "first" Bernoulli numbers).  Every statement
 this library checks involves even indices, where the two conventions
 agree, so the choice is documentation rather than substance.
 
-The numbers come from the defining recurrence
-
-    sum_{j=0}^{m} C(m+1, j) * B_j = 0        (m >= 1)
-
-memoized in a grow-only table.  The von Staudt-Clausen identity
+The even-index numbers come from Brent-Harvey's integer tangent numbers
+T_j, B_2j = (-1)^(j-1) * 2j * T_j / (4^j * (4^j - 1)), memoized in a
+grow-only table.  The von Staudt-Clausen identity
 (B_n plus the sum of 1/q over primes q with (q-1) | n is an integer)
 serves as an independent cross-check, and the p-integrality of B_r/r
 for (p-1) ∤ r is exposed both as a guarded reduction and as a checker.
@@ -17,7 +15,6 @@ for (p-1) ∤ r is exposed both as a guarded reduction and as a checker.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .padic_core import (
     BigRational,
@@ -34,28 +31,31 @@ from .report import CheckReport, rational_margin, timed_check
 class BernoulliTable:
     """Grow-only memo table of B_0..B_n.
 
-    Growth is O(n^2) rational operations, fine for the desk-scale indices
-    used here (a few hundred, at most ~1500).  Concurrent readers are safe
-    once grown; growth itself must be serialized by the caller.
+    B_2j costs O(j) int multiply-adds on the carried tangent-number column
+    ``col[k-1] = tau(k, j)`` plus one Fraction, so staged growth costs what
+    one-shot growth does.  Reads are safe once grown; growth is single-writer.
     """
 
     def __init__(self):
         self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+        self._col: list[int] = [1]  # tau(1, 1) = T_1
 
     def __len__(self):
         return len(self._values)
 
     def grow(self, n: int) -> None:
+        col = self._col
         while len(self._values) <= n:
-            m = len(self._values)
-            if m % 2 == 1:  # B_odd = 0 for odd >= 3
+            j, odd = divmod(len(self._values), 2)
+            if odd:  # B_odd = 0 for odd >= 3
                 self._values.append(Fraction(0))
                 continue
-            acc = Fraction(0)
-            for j in range(0, m, 2):
-                acc += comb(m + 1, j) * self._values[j]
-            acc += comb(m + 1, 1) * self._values[1]
-            self._values.append(-acc / (m + 1))
+            if j > 1:  # tau(k, j) = (j-k) tau(k, j-1) + (j-k+2) tau(k-1, j), tau(0, j) = 0
+                col.append(0)
+                t = 0
+                for i in range(j):
+                    col[i] = t = (j - 1 - i) * col[i] + (j + 1 - i) * t
+            self._values.append(Fraction((-1) ** (j - 1) * 2 * j * col[-1], 4**j * (4**j - 1)))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -82,14 +82,19 @@ def _require_even_positive(r: int) -> None:
         raise ValueError(f"index must be even and positive, got {r}")
 
 
-def bernoulli_div_n_mod(r: int, p: int, m: int) -> Residue:
-    """B_r/r reduced mod p^m, for even r with (p-1) ∤ r."""
+def _adams_quotient(r: int, p: int) -> Fraction:
+    """B_r/r, once Adams' hypotheses hold: r even, p an odd prime, (p-1) ∤ r."""
     _require_even_positive(r)
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if r % (p - 1) == 0:
         raise ValueError(f"Adams hypothesis violated: {p - 1} divides {r}")
-    q = bernoulli(r) / r
+    return bernoulli(r) / r
+
+
+def bernoulli_div_n_mod(r: int, p: int, m: int) -> Residue:
+    """B_r/r reduced mod p^m, for even r with (p-1) ∤ r."""
+    q = _adams_quotient(r, p)
     if q != 0 and vp_rational(q, p) < 0:
         # cannot happen while p-integrality of B_r/r holds; a firing here
         # means the Bernoulli table itself is corrupt
@@ -100,12 +105,7 @@ def bernoulli_div_n_mod(r: int, p: int, m: int) -> Residue:
 @timed_check
 def adams_check(r: int, p: int) -> CheckReport:
     """Check p-integrality of B_r/r for even r not divisible by p-1."""
-    _require_even_positive(r)
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if r % (p - 1) == 0:
-        raise ValueError(f"Adams hypothesis violated: {p - 1} divides {r}")
-    q = bernoulli(r) / r
+    q = _adams_quotient(r, p)
     val = rational_margin(q, p, 0)
     return CheckReport(
         name="adams",
