@@ -1,64 +1,7 @@
 """padlab: exact-arithmetic verification of congruences between power sums,
-Bernoulli numbers, and unit-group orbits modulo odd prime powers."""
+Bernoulli numbers, and unit-group orbits modulo odd prime powers.
 
-from .bernoulli import (
-    BernoulliTable,
-    adams_check,
-    bernoulli,
-    bernoulli_div_n_mod,
-    von_staudt_clausen_check,
-)
-from .congruence_suite import (
-    case1_step_check,
-    case2_check,
-    case3_branch_check,
-    corollary2_check,
-    kummer_check,
-    theorem2_check,
-)
-from .jet import (
-    DerivativeSpec,
-    corollary3_check,
-    derivative_valuation,
-    lemma4_check,
-    lemma5_count,
-)
-from .padic_core import (
-    BigRational,
-    PrimePowerModulus,
-    Residue,
-    element_order,
-    lift_root_of_unity,
-    mod_inverse,
-    mod_pow,
-    reduce_rational,
-    roots_of_unity,
-    vp,
-    vp_rational,
-)
-from .params import (
-    ParameterSet,
-    StrongParameterSet,
-    f_exponents,
-    make_params,
-    make_strong_params,
-)
-from .powersum import lemma1_check, lemma2_check, power_sum_mod
-from .report import CheckReport
-from .spectrum import (
-    ResidueMultiset,
-    SubgroupDescriptor,
-    act,
-    build_S,
-    build_S_x,
-    corollary1_check,
-    eval_f,
-    j_balanced,
-    stabilizer,
-    stabilizer_brute_force,
-    theorem1_check,
-    theorem3_check,
-    transport_check,
-)
+Library code imports from the submodules, e.g.
+``from padlab.spectrum import build_S``."""
 
 __version__ = "0.1.0"

@@ -1,14 +1,14 @@
 """Command-line front end and parameter-grid sweep orchestration.
 
-Every checker is registered by name with its parameter list and its
-Bernoulli demand; the registry is the only description of a checker, and
-both the CLI subcommands and the pooled sweep's table prewarm are
-derived from it.  run_check dispatches a flat {param: int} record and
+Every checker is registered by name with its parameter list; the
+registry is the only description of a checker, and the CLI subcommands
+are derived from it.  run_check dispatches a flat {param: int} record and
 turns math-level ValueErrors into errored reports (unknown names or
 parameters raise instead).
 run_sweep expands each check's grid as a Cartesian product in sorted
 parameter order, so report order is deterministic regardless of the
-parallelism degree.
+parallelism degree.  Serial or pooled, each process grows its own
+Bernoulli table lazily, only as far as the points it runs read.
 
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
@@ -20,12 +20,11 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__, congruence_suite, jet, powersum, spectrum
-from .bernoulli import adams_check, bernoulli, prewarm, von_staudt_clausen_check
+from .bernoulli import adams_check, bernoulli, von_staudt_clausen_check
 from .params import ParameterSet
 from .report import CheckReport
 
@@ -34,17 +33,11 @@ def _ps(args: dict) -> ParameterSet:
     return ParameterSet(args["p"], args["a"], args["t"], args["k"])
 
 
-def _case_shift(a: dict) -> int:
-    return a["p"] ** a["a"] * (a["p"] - 1)
-
-
 @dataclass(frozen=True)
 class CheckerSpec:
     run: Callable[[dict], CheckReport]
     params: tuple[str, ...]
     optional: tuple[str, ...] = ()
-    # largest Bernoulli index a point reads, so pooled sweeps can prewarm the table
-    demand: Callable[[dict], int] = lambda a: 0
     # CLI flag spellings that differ from the parameter name
     flags: dict[str, str] = field(default_factory=dict)
 
@@ -53,7 +46,6 @@ REGISTRY: dict[str, CheckerSpec] = {
     "kummer": CheckerSpec(
         lambda a: congruence_suite.kummer_check(a["p"], a["a"], a["r"], a["s"]),
         ("p", "a", "r", "s"),
-        demand=lambda a: max(a["r"], a["s"]),
     ),
     "theorem2": CheckerSpec(
         lambda a: congruence_suite.theorem2_check(_ps(a), a["r"]),
@@ -69,12 +61,10 @@ REGISTRY: dict[str, CheckerSpec] = {
     "case1": CheckerSpec(
         lambda a: congruence_suite.case1_step_check(a["p"], a["a"], a["r"]),
         ("p", "a", "r"),
-        demand=lambda a: a["r"] + _case_shift(a),
     ),
     "case2": CheckerSpec(
         lambda a: congruence_suite.case2_check(_ps(a), a["b"]),
         ("p", "a", "t", "k", "b"),
-        demand=lambda a: (a["k"] + max(abs(a["b"]), 1) * _case_shift(a)) * a["p"] ** a["t"],
     ),
     "case3": CheckerSpec(
         lambda a: congruence_suite.case3_branch_check(_ps(a)),
@@ -83,7 +73,6 @@ REGISTRY: dict[str, CheckerSpec] = {
     "lemma1": CheckerSpec(
         lambda a: powersum.lemma1_check(a["p"], a["a"], a["r"]),
         ("p", "a", "r"),
-        demand=lambda a: a["r"],
     ),
     "lemma2": CheckerSpec(
         lambda a: powersum.lemma2_check(a["p"], a["a"], a["rr"], a["kk"]),
@@ -121,12 +110,10 @@ REGISTRY: dict[str, CheckerSpec] = {
     "adams": CheckerSpec(
         lambda a: adams_check(a["r"], a["p"]),
         ("r", "p"),
-        demand=lambda a: a["r"],
     ),
     "von_staudt_clausen": CheckerSpec(
         lambda a: von_staudt_clausen_check(a["n"]),
         ("n",),
-        demand=lambda a: a["n"],
     ),
 }
 
@@ -162,6 +149,9 @@ class SweepConfig:
     def from_dict(cls, raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict) or "checks" not in raw:
             raise ValueError("sweep config must be an object with a 'checks' list")
+        unknown = set(raw) - {"checks", "jobs"}
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
         checks = raw["checks"]
         if not isinstance(checks, list):
             raise ValueError("'checks' must be a list")
@@ -171,6 +161,9 @@ class SweepConfig:
             name = entry.get("name")
             if not isinstance(name, str) or name not in REGISTRY:
                 raise ValueError(f"unknown checker name: {name!r}")
+            unknown = set(entry) - {"name", "grid"}
+            if unknown:
+                raise ValueError(f"unknown keys in check {name!r}: {sorted(unknown)}")
             checker = REGISTRY[name]
             grid = entry.get("grid")
             if not isinstance(grid, dict) or not grid:
@@ -249,9 +242,8 @@ def _run_point(point: tuple[str, dict]) -> CheckReport:
 def run_sweep(config: SweepConfig) -> SweepReport:
     points = list(grid_points(config))
     if config.jobs > 1:
-        # grow the table once in the parent so forked workers inherit it;
-        # a serial sweep grows it lazily, only for points that read it
-        prewarm(max((REGISTRY[n].demand(a) for n, a in points), default=0))
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_run_point, points))
     else:

@@ -5,7 +5,8 @@ f^(m)(n) has the falling-factorial closed form
     FF(e+, m) * n^(e+ - m)  +  FF(e-, m) * n^(e- - m),
     FF(e, m) = e (e-1) ... (e-m+1),
 
-evaluated modulo p^cap; a result of 0 mod p^cap reports as ">= cap"
+evaluated modulo p^cap for the order m >= 0 (beyond min(e+, e-) a
+monomial just vanishes); a result of 0 mod p^cap reports as ">= cap"
 (valuations of polynomial values at residue classes are minima over the
 class, so saturation is the honest answer).  On top of that sit the
 valuation claim matrix for f^(m), the first-order Taylor truncation
@@ -14,24 +15,9 @@ check, and the count of near-critical points of f'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-
 from .padic_core import vp
 from .params import ParameterSet, f_exponents
 from .report import MARGIN_WINDOW, CheckReport, timed_check
-
-
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """f with a derivative order; beyond min(e+, e-) a monomial just vanishes."""
-
-    ps: ParameterSet
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("derivative order must be nonnegative")
 
 
 def falling_factorial(e: int, m: int) -> int:
@@ -41,26 +27,28 @@ def falling_factorial(e: int, m: int) -> int:
     return out
 
 
-def derivative_mod(ds: DerivativeSpec, n: int, modulus: int) -> int:
+def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:
     """f^(m)(n) mod modulus."""
-    e_plus, e_minus = f_exponents(ds.ps)
+    if m < 0:
+        raise ValueError("derivative order must be nonnegative")
+    e_plus, e_minus = f_exponents(ps)
     total = 0
     for e in (e_plus, e_minus):
-        if ds.m <= e:  # otherwise the monomial's m-th derivative is 0
-            total += falling_factorial(e, ds.m) * pow(n, e - ds.m, modulus)
+        if m <= e:  # otherwise the monomial's m-th derivative is 0
+            total += falling_factorial(e, m) * pow(n, e - m, modulus)
     return total % modulus
 
 
-def derivative_valuation(ds: DerivativeSpec, n: int, cap: int) -> int:
+def derivative_valuation(ps: ParameterSet, m: int, n: int, cap: int) -> int:
     """vp(f^(m)(n)) computed mod p^cap; a return of cap means ">= cap"."""
-    if ds.m < 1:
+    if m < 1:
         raise ValueError("derivative order must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    p = ds.ps.p
+    p = ps.p
     if n % p == 0:
         raise ValueError(f"n = {n} must be invertible mod p = {p}")
-    value = derivative_mod(ds, n, p**cap)
+    value = derivative_mod(ps, m, n, p**cap)
     return cap if value == 0 else vp(value, p)
 
 
@@ -82,7 +70,7 @@ def lemma4_check(ps: ParameterSet, m: int, n: int) -> CheckReport:
     a, t, v, p = ps.a, ps.t, ps.v, ps.p
     floor = 2 * a + t + v
     cap = 2 * a + 2 * t + MARGIN_WINDOW
-    val = derivative_valuation(DerivativeSpec(ps, m), n, cap)
+    val = derivative_valuation(ps, m, n, cap)
     saturated = val == cap
 
     claims: dict[str, bool] = {"floor": val >= floor}
@@ -139,7 +127,7 @@ def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
     shifted = s + p**kk * x
     lhs_big = (pow(shifted, e_plus, big) + pow(shifted, e_minus, big)) % big
     f_s = (pow(s, e_plus, big) + pow(s, e_minus, big)) % big
-    fprime_s = derivative_mod(DerivativeSpec(ps, 1), s, big)
+    fprime_s = derivative_mod(ps, 1, s, big)
     rhs_big = (f_s + fprime_s * p**kk * x) % big
 
     diff = (lhs_big - rhs_big) % big
@@ -178,12 +166,11 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
         raise ValueError(f"s must satisfy 0 <= s <= a = {ps.a}, got {s}")
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
-    ds = DerivativeSpec(ps, 1)
     count = 0
     for u in range(1, ps.p ** (ps.a + 1) + 1):
         if u % ps.p == 0:
             continue
-        if derivative_valuation(ds, u, threshold) >= threshold:
+        if derivative_valuation(ps, 1, u, threshold) >= threshold:
             count += 1
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
@@ -195,8 +182,3 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
         modulus=(ps.p, threshold),
         details={"count": count, "expected": expected},
     )
-
-
-def unit_range(ps: ParameterSet) -> list[int]:
-    """The units among 1..p^(a+1), the natural n-range for f."""
-    return [n for n in range(1, ps.p ** (ps.a + 1) + 1) if gcd(n, ps.p) == 1]

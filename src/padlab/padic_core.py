@@ -2,8 +2,8 @@
 
 Residues carry their modulus p^M explicitly, rationals are reduced into
 residues via modular inversion of the denominator, and the cyclic structure
-of the unit group (Z/p^M)^* is exposed through primitive roots, roots of
-unity and Hensel lifting.  Everything is big-integer exact; there is no
+of the unit group (Z/p^M)^* is exposed through primitive roots, element
+orders and roots of unity.  Everything is big-integer exact; there is no
 floating point anywhere.
 """
 
@@ -140,9 +140,6 @@ class Residue:
     def __neg__(self):
         return Residue(-self.value, self.modulus)
 
-    def __pow__(self, e: int):
-        return mod_pow(self, e)
-
     def is_unit(self) -> bool:
         return self.value % self.modulus.p != 0
 
@@ -165,7 +162,7 @@ def reduce_rational(q: BigRational, m: PrimePowerModulus) -> Residue:
         return m.residue(0)
     if q.denominator % m.p == 0:
         raise ValueError(f"not p-integral: {q} has denominator divisible by {m.p}")
-    return m.residue(q.numerator * pow(q.denominator, -1, m.modulus))
+    return m.residue(q.numerator) * mod_inverse(m.residue(q.denominator))
 
 
 def mod_pow(base: Residue, e: int) -> Residue:
@@ -239,33 +236,6 @@ def roots_of_unity(dd: int, m: PrimePowerModulus) -> set[Residue]:
     """
     if dd < 1 or (m.p - 1) % dd != 0:
         raise ValueError(f"{dd} does not divide p-1 = {m.p - 1}")
-    h = primitive_root(m).value
+    h = primitive_root(m)
     step = m.unit_group_order() // dd
-    return {m.residue(pow(h, i * step, m.modulus)) for i in range(dd)}
-
-
-def lift_root_of_unity(mu: Residue, dd: int, target_exponent: int) -> Residue:
-    """Hensel-lift a dd-th root of unity mod p to the unique one mod p^M.
-
-    Newton iteration on x^dd - 1; the derivative dd*x^(dd-1) is a unit
-    since dd | p-1, so the lift exists and is unique.
-    """
-    p = mu.modulus.p
-    if mu.modulus.exponent != 1:
-        raise ValueError("lift_root_of_unity expects a residue mod p")
-    if dd < 1 or (p - 1) % dd != 0:
-        raise ValueError(f"{dd} does not divide p-1 = {p - 1}")
-    if pow(mu.value, dd, p) != 1:
-        raise ValueError(f"{mu.value} is not a {dd}-th root of unity mod {p}")
-    if target_exponent < 1:
-        raise ValueError("target exponent must be >= 1")
-
-    target = PrimePowerModulus(p, target_exponent)
-    x = mu.value
-    cur = p
-    while cur < target.modulus:
-        cur = min(cur * cur, target.modulus)
-        fx = (pow(x, dd, cur) - 1) % cur
-        dfx = dd * pow(x, dd - 1, cur) % cur
-        x = (x - fx * pow(dfx, -1, cur)) % cur
-    return target.residue(x)
+    return {mod_pow(h, i * step) for i in range(dd)}

@@ -79,14 +79,6 @@ class StrongParameterSet(ParameterSet):
             raise ValueError(f"k = {self.k} must not be divisible by p-1 = {self.p - 1}")
 
 
-def make_params(p: int, a: int, t: int, k: int) -> ParameterSet:
-    return ParameterSet(p, a, t, k)
-
-
-def make_strong_params(p: int, a: int, t: int, k: int) -> StrongParameterSet:
-    return StrongParameterSet(p, a, t, k)
-
-
 def f_exponents(ps: ParameterSet) -> tuple[int, int]:
     """The exponent pair ((k + p^a(p-1))p^t, (k - p^a(p-1))p^t).
 

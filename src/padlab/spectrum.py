@@ -150,7 +150,7 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
     """Check that every d-th root of unity g satisfies g*S = S."""
     s = build_S(ps)
     roots = roots_of_unity(ps.d, ps.modulus())
-    failing = sorted(g.value for g in roots if act(g, s) != s)
+    failing = sorted(g.value for g in roots if not _stabilizes(g.value, s))
     dropped = ps.p ** (ps.a + 1) - s.total()
     return CheckReport(
         name="theorem1",

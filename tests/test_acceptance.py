@@ -26,7 +26,7 @@ from padlab.cli import canonical_body, main
 from padlab.congruence_suite import corollary2_check, kummer_check, theorem2_check
 from padlab.jet import corollary3_check, lemma4_check, lemma5_count
 from padlab.padic_core import vp
-from padlab.params import ParameterSet, make_params
+from padlab.params import ParameterSet
 from padlab.powersum import lemma1_check, lemma2_check
 from padlab.spectrum import build_S, stabilizer, stabilizer_brute_force, theorem1_check, theorem3_check
 
@@ -62,7 +62,7 @@ def _n_classes(p, base, exclude_full):
 
 def theorem1_grid() -> list[ParameterSet]:
     return [
-        make_params(p, a, t, k)
+        ParameterSet(p, a, t, k)
         for p in (5, 7)
         for a in (0, 1)
         for t in (0, 1)
@@ -72,7 +72,7 @@ def theorem1_grid() -> list[ParameterSet]:
 
 def strong_grid() -> list[ParameterSet]:
     return [
-        make_params(p, a, t, k)
+        ParameterSet(p, a, t, k)
         for p in (5, 7)
         for a in (0, 1)
         for t in (0, 1)

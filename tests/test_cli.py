@@ -1,8 +1,15 @@
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import padlab
+import padlab.bernoulli as bernoulli_module
 from padlab.bernoulli import BernoulliTable
 from padlab.cli import (
     REGISTRY,
@@ -76,33 +83,6 @@ class TestRunCheck:
             assert main(argv) == 0, argv
             assert json.loads(capsys.readouterr().out)["holds"] is True
 
-    @pytest.mark.parametrize(
-        "name, args",
-        list(POINTS.items())
-        + [
-            ("kummer", {"p": 5, "a": 1, "r": 26, "s": 6}),
-            ("case1", {"p": 7, "a": 2, "r": 4}),
-            ("case2", {"p": 5, "a": 0, "t": 0, "k": 10, "b": 0}),
-            ("case2", {"p": 5, "a": 0, "t": 0, "k": 10, "b": -1}),
-            ("case2", {"p": 5, "a": 0, "t": 1, "k": 10, "b": 3}),
-        ],
-    )
-    def test_prewarm_demand_covers_bernoulli_reads(self, monkeypatch, name, args):
-        read = []
-        value = BernoulliTable.value
-
-        def recording_value(self, n):
-            read.append(n)
-            return value(self, n)
-
-        monkeypatch.setattr(BernoulliTable, "value", recording_value)
-        run_check(name, args)
-        demand = REGISTRY[name].demand(args)
-        if demand == 0:
-            assert read == []
-        else:
-            assert read and max(read) <= demand, (read, demand)
-
 
 class TestReportJson:
     def test_big_integers_render_as_strings(self):
@@ -145,17 +125,20 @@ class TestSweep:
         assert sweep.exit_code() == 2
 
     def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch):
-        # k = 15 fails 2p | k, so the point errors before reading B_575,
-        # the index its demand names; padlab.bernoulli is the function,
-        # hence sys.modules
-        table = BernoulliTable()
-        monkeypatch.setattr(sys.modules["padlab.bernoulli"], "_TABLE", table)
-        cfg = SweepConfig.from_dict(
-            {"checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2]}}]}
-        )
-        sweep = run_sweep(cfg)
-        assert sweep.summary["errored"] == 1
-        assert len(table) == 2
+        # k = 15 fails 2p | k, so the point errors before it would read
+        # B_575; neither a serial nor a pooled sweep may grow the table for it
+        for jobs in (1, 2):
+            table = BernoulliTable()
+            monkeypatch.setattr(bernoulli_module, "_TABLE", table)
+            cfg = SweepConfig.from_dict(
+                {
+                    "checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2]}}],
+                    "jobs": jobs,
+                }
+            )
+            sweep = run_sweep(cfg)
+            assert sweep.summary["errored"] == 1
+            assert len(table) == 2, jobs
 
     def test_failed_point_gives_exit_1(self):
         cfg = SweepConfig.from_dict(
@@ -212,6 +195,11 @@ class TestSweep:
         for jobs in (-3, 0, True, False, 2.0, "2", None):
             with pytest.raises(ValueError, match="jobs"):
                 SweepConfig.from_dict({"checks": [], "jobs": jobs})
+        with pytest.raises(ValueError, match=r"unknown sweep config keys: \['jbos'\]"):
+            SweepConfig.from_dict({"checks": [], "jbos": 4})
+        grid = {"p": [5], "a": [0], "r": [2], "s": [6]}
+        with pytest.raises(ValueError, match=r"unknown keys in check 'kummer': \['grdi'\]"):
+            SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid, "grdi": {}}]})
         assert SweepConfig.from_dict({"checks": [], "jobs": 3}).jobs == 3
 
 
@@ -287,6 +275,8 @@ class TestMain:
             ({"checks": [], "jobs": -3}, []),
             ({"checks": [], "jobs": True}, []),
             (KUMMER_GRID, ["--jobs", "0"]),
+            ({**KUMMER_GRID, "jbos": 4}, []),
+            ({"checks": [{**KUMMER_GRID["checks"][0], "grdi": {"p": [7]}}]}, []),
         ],
     )
     def test_sweep_malformed_config_exits_2(self, tmp_path, capsys, raw, extra):
@@ -297,3 +287,53 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]
         assert not out_path.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples() -> list[tuple[str, str]]:
+    """(command, comment) for each ``padlab`` line of the README's CLI block,
+    with every ``[optional]`` part both left out and spelled in."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?```sh\n(.*?)```", text, re.S | re.M).group(1)
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if not command.startswith("padlab "):
+            continue
+        bare = re.sub(r"\s*\[[^]]*\]", "", command).strip()
+        full = re.sub(r"\[([^]]*)\]", r"\1", command).strip()
+        out += [(bare, comment)] + ([(full, comment)] if full != bare else [])
+    return out
+
+
+class TestReadme:
+    def test_cli_examples_exit_as_documented(self, tmp_path, capsys):
+        examples = readme_cli_examples()
+        assert len(examples) >= 20
+        for command, comment in examples:
+            argv = shlex.split(command)[1:]
+            for flag, path in (("--config", README.parent), ("--out", tmp_path)):
+                if flag in argv:
+                    i = argv.index(flag) + 1
+                    argv[i] = str(path / argv[i])
+            code = main(argv)
+            stdout = capsys.readouterr().out
+            assert code == (1 if "exits 1" in comment else 0), command
+            if "->" in comment:
+                assert stdout.strip() == comment.split("->")[1].strip(), command
+
+
+def test_cli_import_is_lean():
+    # serial runs never import the process pool, and the package namespace
+    # does not shadow its submodules with their functions
+    code = (
+        "import sys, padlab.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "import padlab.bernoulli as m\n"
+        "m.BernoulliTable\n"
+    )
+    src = str(Path(padlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -8,10 +8,10 @@ from padlab.congruence_suite import (
     kummer_check,
     theorem2_check,
 )
-from padlab.params import make_params, make_strong_params
+from padlab.params import ParameterSet, StrongParameterSet
 from padlab.powersum import power_sum_mod
 
-SPS = make_strong_params(5, 0, 0, 10)
+SPS = StrongParameterSet(5, 0, 0, 10)
 
 
 class TestTheorem2:
@@ -37,11 +37,11 @@ class TestTheorem2:
 
     def test_rejects_weak_parameters(self):
         with pytest.raises(ValueError, match="2p"):
-            theorem2_check(make_params(5, 0, 0, 5), 1)
+            theorem2_check(ParameterSet(5, 0, 0, 5), 1)
 
     def test_second_difference_vanishes(self):
         # S(r+1) - 2 S(r) + S(r-1) ≡ 0 mod p^M, the quadratic-factor form
-        for sps in (SPS, make_strong_params(5, 0, 1, 10), make_strong_params(7, 0, 0, 14)):
+        for sps in (SPS, StrongParameterSet(5, 0, 1, 10), StrongParameterSet(7, 0, 0, 14)):
             m = sps.modulus()
             shift = sps.p**sps.a * (sps.p - 1)
             sums = {
@@ -127,7 +127,7 @@ class TestCase2:
         assert rep.details == {"index_lhs": 18, "index_rhs": 14}
 
     def test_example_t1(self):
-        rep = case2_check(make_strong_params(5, 0, 1, 10), 2)
+        rep = case2_check(StrongParameterSet(5, 0, 1, 10), 2)
         assert rep.holds and rep.details["index_lhs"] == 90
 
     def test_b1_trivial(self):
@@ -142,7 +142,7 @@ class TestCase2:
 class TestCase3:
     @pytest.mark.parametrize("args", [(5, 0, 1, 10), (5, 0, 2, 10), (7, 0, 1, 14)])
     def test_examples(self, args):
-        rep = case3_branch_check(make_strong_params(*args))
+        rep = case3_branch_check(StrongParameterSet(*args))
         assert rep.holds
         assert rep.modulus == (args[0], 3 * args[1] + args[2] + 2)
 
@@ -153,7 +153,7 @@ class TestCase3:
     def test_consistent_with_kummer(self):
         # dividing the branch congruence by (k+p^a(p-1))p^t of valuation a+t
         # is the index step t -> t-1 of the corrected B/index congruence
-        sps = make_strong_params(5, 0, 1, 10)
+        sps = StrongParameterSet(5, 0, 1, 10)
         assert case3_branch_check(sps).holds
         assert kummer_check(5, 0, 14, 70).holds
 

@@ -3,19 +3,17 @@ import random
 import pytest
 
 from padlab.jet import (
-    DerivativeSpec,
     corollary3_check,
     derivative_mod,
     derivative_valuation,
     falling_factorial,
     lemma4_check,
     lemma5_count,
-    unit_range,
 )
-from padlab.params import f_exponents, make_params
+from padlab.params import ParameterSet, f_exponents
 
-PS = make_params(5, 0, 0, 10)  # f = x^14 + x^6
-PS_T1 = make_params(5, 0, 1, 10)  # f = x^70 + x^30, v=0 < t=1
+PS = ParameterSet(5, 0, 0, 10)  # f = x^14 + x^6
+PS_T1 = ParameterSet(5, 0, 1, 10)  # f = x^70 + x^30, v=0 < t=1
 
 
 def poly_derivative(terms, order):
@@ -38,38 +36,43 @@ class TestDerivative:
     def test_exact_values(self):
         # f'(1) = 14 + 6, f''(1) = 182 + 30, f'''(1) = 2184 + 120
         big = 5**12
-        assert derivative_mod(DerivativeSpec(PS, 1), 1, big) == 20
-        assert derivative_mod(DerivativeSpec(PS, 2), 1, big) == 212
-        assert derivative_mod(DerivativeSpec(PS, 3), 1, big) == 2304
+        assert derivative_mod(PS, 1, 1, big) == 20
+        assert derivative_mod(PS, 2, 1, big) == 212
+        assert derivative_mod(PS, 3, 1, big) == 2304
 
     def test_valuation_examples(self):
-        assert derivative_valuation(DerivativeSpec(PS, 1), 1, 10) == 1
-        assert derivative_valuation(DerivativeSpec(PS, 2), 1, 10) == 0
-        assert derivative_valuation(DerivativeSpec(PS, 3), 1, 10) == 0
+        assert derivative_valuation(PS, 1, 1, 10) == 1
+        assert derivative_valuation(PS, 2, 1, 10) == 0
+        assert derivative_valuation(PS, 3, 1, 10) == 0
 
     def test_saturation_reports_cap(self):
-        ps = make_params(5, 1, 0, 125)
+        ps = ParameterSet(5, 1, 0, 125)
         # f'(u) ≡ 0 mod 5 for every unit; with cap 1 every value saturates
-        assert derivative_valuation(DerivativeSpec(ps, 1), 1, 1) == 1
+        assert derivative_valuation(ps, 1, 1, 1) == 1
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="invertible"):
-            derivative_valuation(DerivativeSpec(PS, 1), 5, 4)
+            derivative_valuation(PS, 1, 5, 4)
 
     def test_rejects_zeroth_order(self):
         with pytest.raises(ValueError, match=">= 1"):
-            derivative_valuation(DerivativeSpec(PS, 0), 1, 4)
+            derivative_valuation(PS, 0, 1, 4)
+
+    def test_rejects_negative_order(self):
+        assert derivative_mod(PS, 0, 2, 5**6) == (2**14 + 2**6) % 5**6
+        with pytest.raises(ValueError, match="nonnegative"):
+            derivative_mod(PS, -1, 1, 5**6)
 
     def test_matches_polynomial_differentiation(self):
         rng = random.Random(7)
-        for ps in (PS, PS_T1, make_params(7, 0, 0, 14)):
+        for ps in (PS, PS_T1, ParameterSet(7, 0, 0, 14)):
             e_plus, e_minus = f_exponents(ps)
             for m in range(1, 5):
                 terms = poly_derivative([(1, e_plus), (1, e_minus)], m)
                 for _ in range(5):
                     n = rng.randint(1, 30)
                     big = ps.p**10
-                    assert derivative_mod(DerivativeSpec(ps, m), n, big) == poly_eval(terms, n) % big
+                    assert derivative_mod(ps, m, n, big) == poly_eval(terms, n) % big
 
 
 class TestLemma4:
@@ -99,10 +102,11 @@ class TestLemma4:
 
     def test_claim_matrix_across_sample(self):
         for args in [(5, 0, 0, 10), (5, 0, 1, 10), (5, 1, 0, 125), (7, 0, 1, 14), (5, 0, 1, 25)]:
-            ps = make_params(*args)
+            ps = ParameterSet(*args)
             for m in (1, 2, 3, 4):
-                for n in unit_range(ps):
-                    assert lemma4_check(ps, m, n).holds, (args, m, n)
+                for n in range(1, ps.p ** (ps.a + 1) + 1):
+                    if n % ps.p:
+                        assert lemma4_check(ps, m, n).holds, (args, m, n)
 
 
 class TestCorollary3:
@@ -162,7 +166,7 @@ class TestLemma5:
         assert rep.holds and rep.lhs == "4"
 
     def test_deeper_counts(self):
-        ps = make_params(5, 1, 0, 250)
+        ps = ParameterSet(5, 1, 0, 250)
         assert ps.v == ps.t == 0
         assert lemma5_count(ps, 0).lhs == "20"
         assert lemma5_count(ps, 1).lhs == "4"

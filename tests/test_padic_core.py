@@ -10,7 +10,6 @@ from padlab.padic_core import (
     element_order,
     factorize,
     is_odd_prime,
-    lift_root_of_unity,
     mod_inverse,
     mod_pow,
     primitive_root,
@@ -222,35 +221,6 @@ class TestRootsOfUnity:
         assert len(roots) == dd
         assert all(element_order(r) in [d for d in range(1, dd + 1) if dd % d == 0] for r in roots)
         assert len({r.value % 7 for r in roots}) == dd
-
-
-class TestLiftRootOfUnity:
-    def test_examples(self):
-        m7 = PrimePowerModulus(7, 1)
-        assert lift_root_of_unity(m7.residue(6), 2, 4).value == 7**4 - 1
-        assert lift_root_of_unity(M5.residue(2), 4, 2).value == 7
-        assert lift_root_of_unity(M5.residue(1), 4, 3).value == 1
-
-    def test_rejects_non_root(self):
-        with pytest.raises(ValueError, match="not a"):
-            lift_root_of_unity(M5.residue(2), 2, 3)
-
-    def test_matches_exhaustive_search(self):
-        for mu in (1, 2, 3, 4):
-            lifted = lift_root_of_unity(M5.residue(mu), 4, 2).value
-            want = [x for x in range(1, 25) if x % 5 == mu and pow(x, 4, 25) == 1]
-            assert [lifted] == want
-
-    @pytest.mark.parametrize("p,dd,exp", [(5, 4, 3), (7, 6, 3), (11, 2, 4), (13, 4, 2)])
-    def test_bijection(self, p, dd, exp):
-        mp = PrimePowerModulus(p, 1)
-        mus = [x for x in range(1, p) if pow(x, dd, p) == 1]
-        assert len(mus) == dd
-        lifts = [lift_root_of_unity(mp.residue(mu), dd, exp) for mu in mus]
-        # lift then reduce is the identity, and the lifts are distinct roots
-        assert [r.value % p for r in lifts] == mus
-        assert len({r.value for r in lifts}) == dd
-        assert all(pow(r.value, dd, p**exp) == 1 for r in lifts)
 
 
 class TestFactorize:

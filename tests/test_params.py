@@ -4,62 +4,56 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padlab.params import (
-    ParameterSet,
-    StrongParameterSet,
-    f_exponents,
-    make_params,
-    make_strong_params,
-)
+from padlab.params import ParameterSet, StrongParameterSet, f_exponents
 
 
 class TestMakeParams:
     def test_example_small(self):
-        ps = make_params(5, 0, 0, 10)
+        ps = ParameterSet(5, 0, 0, 10)
         assert (ps.d, ps.v, ps.M, ps.kprime) == (2, 0, 2, 2)
 
     def test_example_larger(self):
-        ps = make_params(5, 1, 1, 125)
+        ps = ParameterSet(5, 1, 1, 125)
         assert (ps.d, ps.v, ps.M, ps.kprime) == (4, 0, 6, 1)
 
     def test_rejects_k_not_multiple(self):
         with pytest.raises(ValueError, match="not divisible"):
-            make_params(5, 0, 0, 3)
+            ParameterSet(5, 0, 0, 3)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError, match="odd prime"):
-            make_params(4, 0, 0, 4)
+            ParameterSet(4, 0, 0, 4)
         with pytest.raises(ValueError, match="odd prime"):
-            make_params(2, 0, 0, 2)
+            ParameterSet(2, 0, 0, 2)
 
     def test_rejects_negative_fields(self):
         with pytest.raises(ValueError):
-            make_params(5, -1, 0, 5)
+            ParameterSet(5, -1, 0, 5)
         with pytest.raises(ValueError):
-            make_params(5, 0, -1, 5)
+            ParameterSet(5, 0, -1, 5)
         with pytest.raises(ValueError):
-            make_params(5, 0, 0, 0)
+            ParameterSet(5, 0, 0, 0)
 
     def test_as_dict_keys(self):
-        assert set(make_params(5, 0, 0, 10).as_dict()) == {"p", "a", "t", "k", "d", "v", "M"}
+        assert set(ParameterSet(5, 0, 0, 10).as_dict()) == {"p", "a", "t", "k", "d", "v", "M"}
 
 
 class TestStrongParams:
     def test_accepts(self):
-        make_strong_params(5, 0, 0, 10)
-        make_strong_params(7, 0, 1, 14)
+        StrongParameterSet(5, 0, 0, 10)
+        StrongParameterSet(7, 0, 1, 14)
 
     def test_rejects_factor_two_missing(self):
         with pytest.raises(ValueError, match="2p"):
-            make_strong_params(5, 0, 0, 5)
+            StrongParameterSet(5, 0, 0, 5)
 
     def test_rejects_p_minus_one_divisor(self):
         with pytest.raises(ValueError, match="p-1"):
-            make_strong_params(5, 0, 0, 20)
+            StrongParameterSet(5, 0, 0, 20)
 
     def test_is_parameter_set(self):
-        assert isinstance(make_strong_params(5, 0, 0, 10), ParameterSet)
-        assert isinstance(make_strong_params(5, 0, 0, 10), StrongParameterSet)
+        assert isinstance(StrongParameterSet(5, 0, 0, 10), ParameterSet)
+        assert isinstance(StrongParameterSet(5, 0, 0, 10), StrongParameterSet)
 
 
 class TestFExponents:
@@ -72,7 +66,7 @@ class TestFExponents:
         ],
     )
     def test_examples(self, ps_args, expected):
-        assert f_exponents(make_params(*ps_args)) == expected
+        assert f_exponents(ParameterSet(*ps_args)) == expected
 
 
 @st.composite
@@ -82,7 +76,7 @@ def valid_params(draw):
     t = draw(st.integers(min_value=0, max_value=2))
     mult = draw(st.integers(min_value=1, max_value=30))
     extra = draw(st.integers(min_value=0, max_value=3))
-    return make_params(p, a, t, p ** (2 * a + 1 + extra) * mult)
+    return ParameterSet(p, a, t, p ** (2 * a + 1 + extra) * mult)
 
 
 class TestDerivedInvariants:
@@ -104,8 +98,8 @@ class TestDerivedInvariants:
         # both exponents clear 2p^(a+t) once 2p^(2a+1) | k; the minimal
         # plain k = p^(2a+1) at a = 0 gives e_minus = p^t below that bound
         for p, a, t in [(5, 0, 0), (5, 1, 1), (7, 0, 1), (7, 1, 0)]:
-            sps = make_strong_params(p, a, t, 2 * p ** (2 * a + 1))
+            sps = StrongParameterSet(p, a, t, 2 * p ** (2 * a + 1))
             e_plus, e_minus = f_exponents(sps)
             assert min(e_plus, e_minus) >= 2 * p ** (a + t)
-        weak = make_params(5, 0, 1, 5)
+        weak = ParameterSet(5, 0, 1, 5)
         assert min(f_exponents(weak)) == 5 < 2 * 5

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from padlab.padic_core import PrimePowerModulus, element_order, roots_of_unity
-from padlab.params import make_params
+from padlab.params import ParameterSet
 from padlab.spectrum import (
     ResidueMultiset,
     act,
@@ -19,7 +19,7 @@ from padlab.spectrum import (
     transport_check,
 )
 
-PS = make_params(5, 0, 0, 10)
+PS = ParameterSet(5, 0, 0, 10)
 M25 = PrimePowerModulus(5, 2)
 
 
@@ -55,7 +55,7 @@ class TestBuildS:
 
     def test_total_multiplicity(self):
         for args in [(5, 0, 0, 10), (5, 0, 1, 10), (5, 1, 0, 125), (7, 0, 0, 14), (7, 1, 1, 343), (5, 0, 0, 5)]:
-            ps = make_params(*args)
+            ps = ParameterSet(*args)
             assert build_S(ps).total() == ps.p ** (ps.a + 1) - ps.p**ps.a
 
     def test_restricted_example(self):
@@ -63,14 +63,14 @@ class TestBuildS:
 
     def test_restriction_partitions(self):
         for args in [(5, 0, 0, 10), (5, 0, 1, 10), (7, 0, 0, 14)]:
-            ps = make_params(*args)
+            ps = ParameterSet(*args)
             union = Counter()
             for x in range(1, ps.p):
                 union.update(build_S_x(ps, x).counts)
             assert dict(union) == build_S(ps).counts
 
     def test_restricted_total(self):
-        ps = make_params(5, 1, 0, 125)
+        ps = ParameterSet(5, 1, 0, 125)
         assert build_S_x(ps, 1).total() == 5
 
     def test_rejects_non_unit_class(self):
@@ -88,7 +88,7 @@ class TestAct:
         assert act(M25.residue(24), s).counts == {23: 2, 2: 2}
 
     def test_action_law(self):
-        s = build_S(make_params(5, 1, 0, 125))
+        s = build_S(ParameterSet(5, 1, 0, 125))
         m = s.modulus
         for g in (7, 11, 13):
             for h in (3, 9):
@@ -111,18 +111,18 @@ class TestTheorem1:
         assert rep.details["dropped_values"] == 1
 
     def test_d1_vacuous(self):
-        ps = make_params(5, 0, 0, 20)
+        ps = ParameterSet(5, 0, 0, 20)
         assert ps.d == 1
         rep = theorem1_check(ps)
         assert rep.holds and rep.details["roots_tested"] == 1
 
     def test_larger_point(self):
-        ps = make_params(5, 1, 0, 125)
+        ps = ParameterSet(5, 1, 0, 125)
         assert (ps.d, ps.M) == (4, 5)
         assert theorem1_check(ps).holds
 
     def test_minimal_k(self):
-        assert theorem1_check(make_params(5, 0, 0, 5)).holds
+        assert theorem1_check(ParameterSet(5, 0, 0, 5)).holds
 
 
 class TestTransport:
@@ -197,14 +197,14 @@ class TestStabilizer:
         [(5, 0, 0, 10), (5, 0, 0, 5), (5, 0, 1, 10), (5, 1, 0, 125), (5, 0, 1, 25), (7, 0, 1, 14)],
     )
     def test_matches_brute_force(self, args):
-        s = build_S(make_params(*args))
+        s = build_S(ParameterSet(*args))
         fast = stabilizer(s)
         brute = stabilizer_brute_force(s)
         assert fast.order == brute.order
         assert element_order(fast.generator) == fast.order
 
     def test_orbit_consistency(self):
-        s = build_S(make_params(5, 1, 0, 125))
+        s = build_S(ParameterSet(5, 1, 0, 125))
         sub = stabilizer(s)
         m = s.modulus
         g = sub.generator
@@ -224,13 +224,13 @@ class TestTheorem3:
         assert rep.details["branch"] == "v=t"
 
     def test_v_less_than_t(self):
-        ps = make_params(5, 1, 1, 125)
+        ps = ParameterSet(5, 1, 1, 125)
         assert (ps.v, ps.t) == (0, 1)
         rep = theorem3_check(ps)
         assert rep.holds and rep.rhs == "20"
 
     def test_v_equals_t_positive(self):
-        ps = make_params(5, 0, 1, 25)
+        ps = ParameterSet(5, 0, 1, 25)
         assert ps.v == ps.t == 1
         rep = theorem3_check(ps)
         assert rep.holds and rep.rhs == "4"
@@ -238,7 +238,7 @@ class TestTheorem3:
     def test_mu_d_contained(self):
         # the theorem1 containment restated at stabilizer level
         for args in [(5, 0, 0, 10), (5, 0, 1, 10), (7, 0, 0, 14), (5, 1, 0, 125)]:
-            ps = make_params(*args)
+            ps = ParameterSet(*args)
             sub = stabilizer(build_S(ps))
             assert sub.order % ps.d == 0
             for g in roots_of_unity(ps.d, ps.modulus()):
@@ -255,7 +255,7 @@ class TestJBalanced:
         assert j_balanced(s, 1)
 
     def test_grid_point_balanced(self):
-        s = build_S(make_params(5, 1, 1, 125))
+        s = build_S(ParameterSet(5, 1, 1, 125))
         assert j_balanced(s, 1)
         assert not j_balanced(s, 2)
 
@@ -270,7 +270,7 @@ class TestJBalanced:
     def test_boundary_matches_stabilizer_p_part(self, args):
         # S is j-balanced up to the p-part exponent of its stabilizer and
         # no further
-        ps = make_params(*args)
+        ps = ParameterSet(*args)
         s = build_S(ps)
         order = stabilizer(s).order
         e = 0
