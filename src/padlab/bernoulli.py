@@ -8,23 +8,15 @@ The even-index numbers come from Brent-Harvey's integer tangent numbers
 T_j, B_2j = (-1)^(j-1) * 2j * T_j / (4^j * (4^j - 1)), memoized in a
 grow-only table.  The von Staudt-Clausen identity
 (B_n plus the sum of 1/q over primes q with (q-1) | n is an integer)
-serves as an independent cross-check, and the p-integrality of B_r/r
-for (p-1) ∤ r is exposed both as a guarded reduction and as a checker.
+serves as an independent cross-check, and adams_check reports the
+p-integrality of B_r/r for (p-1) ∤ r.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic_core import (
-    BigRational,
-    PrimePowerModulus,
-    Residue,
-    is_odd_prime,
-    is_prime,
-    reduce_rational,
-    vp_rational,
-)
+from .padic_core import is_odd_prime, is_prime
 from .report import CheckReport, rational_margin, timed_check
 
 
@@ -67,7 +59,7 @@ class BernoulliTable:
 _TABLE = BernoulliTable()
 
 
-def bernoulli(n: int) -> BigRational:
+def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, exactly."""
     return _TABLE.value(n)
 
@@ -82,30 +74,15 @@ def _require_even_positive(r: int) -> None:
         raise ValueError(f"index must be even and positive, got {r}")
 
 
-def _adams_quotient(r: int, p: int) -> Fraction:
-    """B_r/r, once Adams' hypotheses hold: r even, p an odd prime, (p-1) ∤ r."""
+@timed_check
+def adams_check(r: int, p: int) -> CheckReport:
+    """Check p-integrality of B_r/r for even r not divisible by p-1."""
     _require_even_positive(r)
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if r % (p - 1) == 0:
         raise ValueError(f"Adams hypothesis violated: {p - 1} divides {r}")
-    return bernoulli(r) / r
-
-
-def bernoulli_div_n_mod(r: int, p: int, m: int) -> Residue:
-    """B_r/r reduced mod p^m, for even r with (p-1) ∤ r."""
-    q = _adams_quotient(r, p)
-    if q != 0 and vp_rational(q, p) < 0:
-        # cannot happen while p-integrality of B_r/r holds; a firing here
-        # means the Bernoulli table itself is corrupt
-        raise ArithmeticError(f"B_{r}/{r} = {q} is unexpectedly not a {p}-integer")
-    return reduce_rational(q, PrimePowerModulus(p, m))
-
-
-@timed_check
-def adams_check(r: int, p: int) -> CheckReport:
-    """Check p-integrality of B_r/r for even r not divisible by p-1."""
-    q = _adams_quotient(r, p)
+    q = bernoulli(r) / r
     val = rational_margin(q, p, 0)
     return CheckReport(
         name="adams",

@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             if cmd == "stabilizer":
                 sub = spectrum.stabilizer(s)
                 out["order"] = str(sub.order)
-                out["generator"] = str(sub.generator.value)
+                out["generator"] = str(sub.generator)
                 out["modulus"] = {"p": str(ps.p), "exp": ps.M}
             else:
                 out["j"] = args.j

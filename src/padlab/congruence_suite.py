@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bernoulli import bernoulli
-from .padic_core import PrimePowerModulus, is_odd_prime, vp
+from .padic_core import is_odd_prime, vp
 from .params import ParameterSet, StrongParameterSet
 from .powersum import power_sum_mod
 from .report import MARGIN_WINDOW, CheckReport, congruence_report, timed_check
@@ -44,10 +44,10 @@ def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
         raise ValueError(f"k + p^a(p-1)r = {ps.k + shift * r} must be positive")
 
     exponent = ps.M
-    big = PrimePowerModulus(ps.p, exponent + MARGIN_WINDOW)
+    big = ps.p ** (exponent + MARGIN_WINDOW)
     n_max = ps.p ** (ps.a + 1)
-    sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, big).value
-    sum_1 = power_sum_mod(n_max, (ps.k + shift) * ps.p**ps.t, big).value
+    sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, big)
+    sum_1 = power_sum_mod(n_max, (ps.k + shift) * ps.p**ps.t, big)
     return congruence_report("theorem2", {**ps.as_dict(), "r": r}, sum_r, r * sum_1, ps.p, exponent)
 
 
@@ -161,11 +161,11 @@ def case3_branch_check(ps: ParameterSet) -> CheckReport:
         raise ValueError("t must be >= 1 for the branching step")
 
     exponent = 3 * ps.a + ps.t + 2
-    big = PrimePowerModulus(ps.p, exponent + MARGIN_WINDOW)
+    big = ps.p ** (exponent + MARGIN_WINDOW)
     n_max = ps.p ** (ps.a + 1)
     base = ps.k + ps.p**ps.a * (ps.p - 1)
-    sum_t = power_sum_mod(n_max, base * ps.p**ps.t, big).value
-    sum_t1 = power_sum_mod(n_max, base * ps.p ** (ps.t - 1), big).value
+    sum_t = power_sum_mod(n_max, base * ps.p**ps.t, big)
+    sum_t1 = power_sum_mod(n_max, base * ps.p ** (ps.t - 1), big)
     return congruence_report("case3", ps.as_dict(), sum_t, ps.p * sum_t1, ps.p, exponent)
 
 

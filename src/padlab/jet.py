@@ -99,7 +99,7 @@ def lemma4_check(ps: ParameterSet, m: int, n: int) -> CheckReport:
         lhs=f">={cap}" if saturated else str(val),
         rhs=f"floor {floor}",
         modulus=(p, floor),
-        margin=val - floor,
+        margin=min(val - floor, MARGIN_WINDOW),
         details={"valuation": val, "saturated": saturated, "claims": claims},
     )
 
@@ -123,12 +123,8 @@ def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
     cap = strong_exp + MARGIN_WINDOW
     big = p**cap
 
-    e_plus, e_minus = f_exponents(ps)
-    shifted = s + p**kk * x
-    lhs_big = (pow(shifted, e_plus, big) + pow(shifted, e_minus, big)) % big
-    f_s = (pow(s, e_plus, big) + pow(s, e_minus, big)) % big
-    fprime_s = derivative_mod(ps, 1, s, big)
-    rhs_big = (f_s + fprime_s * p**kk * x) % big
+    lhs_big = derivative_mod(ps, 0, s + p**kk * x, big)
+    rhs_big = (derivative_mod(ps, 0, s, big) + derivative_mod(ps, 1, s, big) * p**kk * x) % big
 
     diff = (lhs_big - rhs_big) % big
     val = cap if diff == 0 else vp(diff, p)
@@ -143,7 +139,7 @@ def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
         lhs=str(lhs_big % p**weak_exp),
         rhs=str(rhs_big % p**weak_exp),
         modulus=(p, weak_exp),
-        margin=min(val, cap) - weak_exp,
+        margin=min(val - weak_exp, MARGIN_WINDOW),
         details={
             "weak_holds": weak_holds,
             "strong_holds": strong_holds,

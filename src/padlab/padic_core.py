@@ -1,10 +1,10 @@
 """Exact arithmetic modulo odd prime powers.
 
-Residues carry their modulus p^M explicitly, rationals are reduced into
-residues via modular inversion of the denominator, and the cyclic structure
-of the unit group (Z/p^M)^* is exposed through primitive roots, element
-orders and roots of unity.  Everything is big-integer exact; there is no
-floating point anywhere.
+A residue is a plain int in [0, p^M); PrimePowerModulus validates p^M and
+carries it.  Rationals are reduced mod p^M by inverting the denominator,
+and the cyclic structure of the unit group (Z/p^M)^* is exposed through
+primitive roots, element orders and roots of unity.  Everything is
+big-integer exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-
-# Exact arbitrary-precision rational; stdlib Fraction is always canonical
-# (gcd(num, den) = 1, den > 0), which is exactly the invariant we need.
-BigRational = Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -51,7 +47,7 @@ def vp(n: int, p: int) -> int:
     return e
 
 
-def vp_rational(q: BigRational, p: int) -> int:
+def vp_rational(q: Fraction, p: int) -> int:
     """Valuation of a nonzero rational; negative when p divides the denominator."""
     if q == 0:
         raise ValueError("valuation of zero is infinite")
@@ -73,109 +69,30 @@ class PrimePowerModulus:
             raise ValueError(f"modulus exponent must be >= 1, got {self.exponent}")
         object.__setattr__(self, "modulus", self.p**self.exponent)
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value, self)
-
     def unit_group_order(self) -> int:
         return self.p ** (self.exponent - 1) * (self.p - 1)
+
+    def unit_group_factors(self) -> dict[int, int]:
+        """unit_group_order() factorised, as {prime: exponent}."""
+        factors = factorize(self.p - 1)
+        if self.exponent > 1:
+            factors[self.p] = self.exponent - 1
+        return factors
 
     def __str__(self):
         return f"{self.p}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An integer reduced into [0, p^M), tied to its PrimePowerModulus.
-
-    Arithmetic between residues with different moduli is a contract
-    violation and raises; there is never a silent coercion.  Plain ints
-    are accepted and reduced.
-    """
-
-    value: int
-    modulus: PrimePowerModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"cross-modulus arithmetic: {self.modulus} vs {other.modulus}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus.modulus
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def is_unit(self) -> bool:
-        return self.value % self.modulus.p != 0
-
-    def __int__(self):
-        return self.value
-
-    def __str__(self):
-        return str(self.value)
-
-
-def reduce_rational(q: BigRational, m: PrimePowerModulus) -> Residue:
-    """Reduce a p-integral rational mod p^M.
+def reduce_rational(q: Fraction | int, m: PrimePowerModulus) -> int:
+    """Reduce a p-integral rational mod p^M, into [0, p^M).
 
     Multiplying the result by the denominator recovers the numerator
     mod p^M.  Rationals with p in the denominator (after cancellation)
     are rejected.
     """
-    q = Fraction(q)
-    if q == 0:
-        return m.residue(0)
     if q.denominator % m.p == 0:
         raise ValueError(f"not p-integral: {q} has denominator divisible by {m.p}")
-    return m.residue(q.numerator) * mod_inverse(m.residue(q.denominator))
-
-
-def mod_pow(base: Residue, e: int) -> Residue:
-    """base^e mod p^M by square-and-multiply; e = 0 gives 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative; invert explicitly")
-    return base.modulus.residue(pow(base.value, e, base.modulus.modulus))
-
-
-def mod_inverse(x: Residue) -> Residue:
-    if not x.is_unit():
-        raise ValueError(f"non-invertible residue: {x.modulus.p} divides {x.value}")
-    return x.modulus.residue(pow(x.value, -1, x.modulus.modulus))
+    return q.numerator * pow(q.denominator, -1, m.modulus) % m.modulus
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -204,31 +121,27 @@ def _primitive_root_mod_p(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def primitive_root(m: PrimePowerModulus) -> Residue:
+def primitive_root(m: PrimePowerModulus) -> int:
     """A generator of the cyclic unit group (Z/p^M)^*."""
     g = _primitive_root_mod_p(m.p)
     if m.exponent > 1 and pow(g, m.p - 1, m.p * m.p) == 1:
         # g generates mod p but not mod p^2; g + p always does (p odd).
         g += m.p
-    return m.residue(g)
+    return g
 
 
-def element_order(g: Residue) -> int:
-    """Multiplicative order of a unit, by stripping primes from the group order."""
-    if not g.is_unit():
-        raise ValueError(f"non-invertible residue: {g.modulus.p} divides {g.value}")
-    m = g.modulus
+def element_order(g: int, m: PrimePowerModulus) -> int:
+    """Multiplicative order of the unit g mod p^M, by stripping primes from the group order."""
+    if g % m.p == 0:
+        raise ValueError(f"non-invertible residue: {m.p} divides {g}")
     order = m.unit_group_order()
-    factors = dict(factorize(m.p - 1))
-    if m.exponent > 1:
-        factors[m.p] = m.exponent - 1
-    for q in factors:
-        while order % q == 0 and pow(g.value, order // q, m.modulus) == 1:
+    for q in m.unit_group_factors():
+        while order % q == 0 and pow(g, order // q, m.modulus) == 1:
             order //= q
     return order
 
 
-def roots_of_unity(dd: int, m: PrimePowerModulus) -> set[Residue]:
+def roots_of_unity(dd: int, m: PrimePowerModulus) -> set[int]:
     """All x mod p^M with x^dd = 1, for dd dividing p-1.
 
     These form the cyclic subgroup of order dd generated by
@@ -238,4 +151,4 @@ def roots_of_unity(dd: int, m: PrimePowerModulus) -> set[Residue]:
         raise ValueError(f"{dd} does not divide p-1 = {m.p - 1}")
     h = primitive_root(m)
     step = m.unit_group_order() // dd
-    return {mod_pow(h, i * step) for i in range(dd)}
+    return {pow(h, i * step, m.modulus) for i in range(dd)}

@@ -20,19 +20,18 @@ caller maps the validity region.
 from __future__ import annotations
 
 from .bernoulli import bernoulli
-from .padic_core import PrimePowerModulus, Residue, is_odd_prime, vp
+from .padic_core import is_odd_prime, vp
 from .report import MARGIN_WINDOW, CheckReport, congruence_report, timed_check
 
 
-def power_sum_mod(n_max: int, e: int, m: PrimePowerModulus) -> Residue:
-    """sum_{n=1}^{n_max} n^e mod p^M."""
+def power_sum_mod(n_max: int, e: int, modulus: int) -> int:
+    """sum_{n=1}^{n_max} n^e mod modulus, in [0, modulus)."""
     if n_max < 0 or e < 0:
         raise ValueError("power_sum_mod expects nonnegative bound and exponent")
-    pM = m.modulus
     total = 0
     for n in range(1, n_max + 1):
-        total += pow(n, e, pM)
-    return m.residue(total)
+        total += pow(n, e, modulus)
+    return total % modulus
 
 
 def power_sum_exact(n_max: int, e: int) -> int:
@@ -51,7 +50,7 @@ def lemma1_check(p: int, a: int, r: int) -> CheckReport:
         raise ValueError(f"r must be even and positive, got {r}")
 
     exponent = 2 * a + vp(r, p) + 1
-    lhs = power_sum_mod(p**a, r, PrimePowerModulus(p, exponent + MARGIN_WINDOW)).value
+    lhs = power_sum_mod(p**a, r, p ** (exponent + MARGIN_WINDOW))
     rhs = p**a * bernoulli(r)  # p-integral: vp(B_r) >= -1
     return congruence_report("lemma1", {"p": p, "a": a, "r": r}, lhs, rhs, p, exponent)
 
@@ -73,7 +72,7 @@ def lemma2_check(p: int, a: int, rr: int, kk: int) -> CheckReport:
         raise ValueError(f"p^rr = {p**rr} must divide k = {kk}")
 
     exponent = rr + a
-    lhs = power_sum_mod(p**a, kk, PrimePowerModulus(p, exponent + MARGIN_WINDOW)).value
+    lhs = power_sum_mod(p**a, kk, p ** (exponent + MARGIN_WINDOW))
     return congruence_report("lemma2", {"p": p, "a": a, "rr": rr, "kk": kk}, lhs, 0, p, exponent)
 
 

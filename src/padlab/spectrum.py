@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping
 
-from .padic_core import (
-    PrimePowerModulus,
-    Residue,
-    element_order,
-    factorize,
-    primitive_root,
-    roots_of_unity,
-)
+from .padic_core import PrimePowerModulus, element_order, primitive_root, roots_of_unity
 from .params import ParameterSet, f_exponents
 from .report import CheckReport, timed_check
 
@@ -72,23 +65,22 @@ class ResidueMultiset:
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
-    """A cyclic subgroup of the unit group: its order and a generator."""
+    """A cyclic subgroup of the unit group mod p^M: its order and a generator."""
 
     order: int
-    generator: Residue
+    generator: int
+    modulus: PrimePowerModulus
 
     def __post_init__(self):
-        if element_order(self.generator) != self.order:
-            raise ValueError(
-                f"generator {self.generator.value} does not have order {self.order}"
-            )
+        if element_order(self.generator, self.modulus) != self.order:
+            raise ValueError(f"generator {self.generator} does not have order {self.order}")
 
 
-def eval_f(ps: ParameterSet, n: int) -> Residue:
-    """f(n) mod p^M."""
-    m = ps.modulus()
+def eval_f(ps: ParameterSet, n: int) -> int:
+    """f(n) mod p^M, in [0, p^M)."""
+    pM = ps.modulus().modulus
     e_plus, e_minus = f_exponents(ps)
-    return m.residue(pow(n, e_plus, m.modulus) + pow(n, e_minus, m.modulus))
+    return (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
 
 
 def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
@@ -120,18 +112,12 @@ def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
     return _f_multiset(ps, range(x % ps.p, ps.p ** (ps.a + 1) + 1, ps.p))
 
 
-def act(g: Residue | int, s: ResidueMultiset) -> ResidueMultiset:
+def act(g: int, s: ResidueMultiset) -> ResidueMultiset:
     """The multiset {g*x : x in s}, multiplicities carried along."""
-    if isinstance(g, Residue):
-        if g.modulus != s.modulus:
-            raise ValueError(f"cross-modulus action: {g.modulus} vs {s.modulus}")
-        gval = g.value
-    else:
-        gval = g % s.modulus.modulus
-    if gval % s.modulus.p == 0:
-        raise ValueError(f"non-invertible residue: {s.modulus.p} divides {gval}")
+    if g % s.modulus.p == 0:
+        raise ValueError(f"non-invertible residue: {s.modulus.p} divides {g}")
     pM = s.modulus.modulus
-    return ResidueMultiset(s.modulus, {(gval * k) % pM: c for k, c in s.counts.items()})
+    return ResidueMultiset(s.modulus, {(g * k) % pM: c for k, c in s.counts.items()})
 
 
 def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
@@ -150,7 +136,7 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
     """Check that every d-th root of unity g satisfies g*S = S."""
     s = build_S(ps)
     roots = roots_of_unity(ps.d, ps.modulus())
-    failing = sorted(g.value for g in roots if not _stabilizes(g.value, s))
+    failing = sorted(g for g in roots if not _stabilizes(g, s))
     dropped = ps.p ** (ps.a + 1) - s.total()
     return CheckReport(
         name="theorem1",
@@ -187,7 +173,7 @@ def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckRepor
 
     nprime = (n * xprime - 1) % p_a1 + 1  # representative in [1, p^(a+1)]
     lhs = eval_f(ps, nprime)
-    rhs = m.residue(g) * eval_f(ps, n)
+    rhs = g * eval_f(ps, n) % pM
     return CheckReport(
         name="transport",
         inputs={**ps.as_dict(), "g": g, "xprime": xprime, "n": n},
@@ -233,17 +219,14 @@ def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
         raise ValueError("stabilizer of an empty multiset is undefined")
     m = s.modulus
     n0 = m.unit_group_order()
-    h = primitive_root(m).value
-    factors = dict(factorize(m.p - 1))
-    if m.exponent > 1:
-        factors[m.p] = m.exponent - 1
+    h = primitive_root(m)
     order = 1
-    for q, e in factors.items():
+    for q, e in m.unit_group_factors().items():
         for j in range(1, e + 1):
             if not _stabilizes(pow(h, n0 // q**j, m.modulus), s):
                 break
             order *= q
-    return SubgroupDescriptor(order, m.residue(pow(h, n0 // order, m.modulus)))
+    return SubgroupDescriptor(order, pow(h, n0 // order, m.modulus), m)
 
 
 def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
@@ -254,9 +237,8 @@ def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
     members = [u for u in range(1, m.modulus) if u % m.p != 0 and _stabilizes(u, s)]
     order = len(members)
     for u in members:
-        g = m.residue(u)
-        if element_order(g) == order:
-            return SubgroupDescriptor(order, g)
+        if element_order(u, m) == order:
+            return SubgroupDescriptor(order, u, m)
     raise AssertionError("stabilizer scan found no generator")  # not cyclic: impossible
 
 
@@ -266,7 +248,7 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
     s = build_S(ps)
     sub = stabilizer(s)
     expected = ps.d * ps.p**ps.a if ps.v < ps.t else ps.d
-    is_root_group = pow(sub.generator.value, expected, ps.modulus().modulus) == 1
+    is_root_group = pow(sub.generator, expected, ps.modulus().modulus) == 1
     return CheckReport(
         name="theorem3",
         inputs=ps.as_dict(),
@@ -275,7 +257,7 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
         rhs=str(expected),
         modulus=(ps.p, ps.M),
         details={
-            "generator": sub.generator.value,
+            "generator": sub.generator,
             "branch": "v<t" if ps.v < ps.t else "v=t",
             "generator_is_nth_root": is_root_group,
         },

@@ -10,16 +10,9 @@ from padlab.bernoulli import (
     BernoulliTable,
     adams_check,
     bernoulli,
-    bernoulli_div_n_mod,
     von_staudt_clausen_check,
 )
-from padlab.padic_core import (
-    PrimePowerModulus,
-    is_prime,
-    primitive_root,
-    reduce_rational,
-    vp_rational,
-)
+from padlab.padic_core import PrimePowerModulus, is_prime, primitive_root, reduce_rational
 
 
 def akiyama_tanigawa(n_max):
@@ -109,7 +102,7 @@ class TestTable:
         # for even n with (p-1) ∤ n; g a primitive root mod N pins B_n/n mod N
         for m in range(1, 5):
             modulus = PrimePowerModulus(p, m)
-            big_n, g = p**m, primitive_root(modulus).value
+            big_n, g = p**m, primitive_root(modulus)
             sums = [0] * 99  # sums[n // 2 - 1] for even 2 <= n < 200
             for x in range(1, big_n):
                 w, x2 = x * (x * g // big_n) % big_n, x * x % big_n
@@ -120,7 +113,7 @@ class TestTable:
                 n
                 for n in range(2, 200, 2)
                 if n % (p - 1)
-                and reduce_rational((pow(g, n, big_n) - 1) * bernoulli(n) / n, modulus).value
+                and reduce_rational((pow(g, n, big_n) - 1) * bernoulli(n) / n, modulus)
                 != pow(g, n - 1, big_n) * sums[n // 2 - 1] % big_n
             ]
             assert mismatches == [], (p, m)
@@ -157,7 +150,7 @@ class TestAdams:
         with pytest.raises(ValueError, match="Adams hypothesis"):
             adams_check(6, 7)
 
-    @pytest.mark.parametrize("check", [adams_check, lambda r, p: bernoulli_div_n_mod(r, p, 2)])
+    @pytest.mark.parametrize("check", [adams_check])
     @pytest.mark.parametrize(
         "r,p,match",
         [
@@ -172,6 +165,12 @@ class TestAdams:
         with pytest.raises(ValueError, match=match):
             check(r, p)
 
+    def test_quotient_residues(self):
+        # B_6/6 = 1/252 and B_2/2 = 1/12; B_26/26 ≡ B_6/6 mod 25 by Kummer (26 ≡ 6 mod 20)
+        assert reduce_rational(bernoulli(6) / 6, PrimePowerModulus(5, 2)) == 13
+        assert reduce_rational(bernoulli(26) / 26, PrimePowerModulus(5, 2)) == 13
+        assert reduce_rational(bernoulli(2) / 2, PrimePowerModulus(5, 1)) == 3
+
     def test_grid(self):
         # p-integrality of B_r/r across the stated desk-scale grid
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -179,29 +178,3 @@ class TestAdams:
                 if r % (p - 1) == 0:
                     continue
                 assert adams_check(r, p).holds, (r, p)
-
-
-class TestDivNMod:
-    def test_examples(self):
-        assert bernoulli_div_n_mod(6, 5, 2).value == 13
-        assert bernoulli_div_n_mod(2, 5, 1).value == 3
-        assert bernoulli_div_n_mod(26, 5, 2).value == 13
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(ValueError, match="Adams hypothesis"):
-            bernoulli_div_n_mod(6, 7, 1)
-
-    def test_odd_index_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            bernoulli_div_n_mod(5, 7, 1)
-
-    def test_reduction_consistent_with_valuation(self):
-        for p in (5, 7, 11):
-            for r in range(2, 41, 2):
-                if r % (p - 1) == 0:
-                    continue
-                q = bernoulli(r) / r
-                got = bernoulli_div_n_mod(r, p, 3).value
-                assert (got * q.denominator - q.numerator) % p**3 == 0
-                if q != 0:
-                    assert vp_rational(q, p) >= 0

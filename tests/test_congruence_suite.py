@@ -42,13 +42,13 @@ class TestTheorem2:
     def test_second_difference_vanishes(self):
         # S(r+1) - 2 S(r) + S(r-1) ≡ 0 mod p^M, the quadratic-factor form
         for sps in (SPS, StrongParameterSet(5, 0, 1, 10), StrongParameterSet(7, 0, 0, 14)):
-            m = sps.modulus()
+            pM = sps.modulus().modulus
             shift = sps.p**sps.a * (sps.p - 1)
             sums = {
-                r: power_sum_mod(sps.p ** (sps.a + 1), (sps.k + shift * r) * sps.p**sps.t, m)
+                r: power_sum_mod(sps.p ** (sps.a + 1), (sps.k + shift * r) * sps.p**sps.t, pM)
                 for r in (0, 1, 2)
             }
-            assert (sums[2] - 2 * sums[1] + sums[0]).value == 0
+            assert (sums[2] - 2 * sums[1] + sums[0]) % pM == 0
 
 
 class TestCorollary2:

@@ -11,6 +11,7 @@ from padlab.jet import (
     lemma5_count,
 )
 from padlab.params import ParameterSet, f_exponents
+from padlab.report import MARGIN_WINDOW
 
 PS = ParameterSet(5, 0, 0, 10)  # f = x^14 + x^6
 PS_T1 = ParameterSet(5, 0, 1, 10)  # f = x^70 + x^30, v=0 < t=1
@@ -158,6 +159,21 @@ class TestCorollary3:
                     assert rep.details["difference_valuation"] == min(
                         expect, rep.modulus[1] + 1 + 8
                     )
+
+
+@pytest.mark.parametrize(
+    "check,args",
+    [
+        # saturated valuation 11 against weak exponent 2: the unclamped margin was 9
+        (corollary3_check, (ParameterSet(5, 0, 0, 5), 1, 1, 0)),
+        # saturated valuation 2a+2t+8 = 12 against floor 2a+t+v = 2: it was 10
+        (lemma4_check, (ParameterSet(5, 0, 2, 5), 10**6, 1)),
+    ],
+)
+def test_margin_saturates_at_window(check, args):
+    rep = check(*args)
+    assert rep.holds and rep.details["saturated"]
+    assert rep.margin == MARGIN_WINDOW
 
 
 class TestLemma5:

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from padlab.padic_core import (
     PrimePowerModulus,
-    Residue,
     element_order,
     factorize,
     is_odd_prime,
-    mod_inverse,
-    mod_pow,
     primitive_root,
     reduce_rational,
     roots_of_unity,
@@ -85,27 +82,13 @@ class TestModulus:
         assert not is_odd_prime(2) and not is_odd_prime(1) and not is_odd_prime(9)
 
 
-class TestResidue:
-    def test_normalization(self):
-        assert Residue(-1, M25).value == 24
-        assert Residue(26, M25).value == 1
-
-    def test_cross_modulus_is_an_error(self):
-        with pytest.raises(ValueError, match="cross-modulus"):
-            M25.residue(3) + M125.residue(3)
-        with pytest.raises(ValueError, match="cross-modulus"):
-            M25.residue(3) * M5.residue(3)
-
-    def test_int_operands_reduce(self):
-        assert (M25.residue(20) + 10).value == 5
-        assert (3 * M25.residue(10)).value == 5
-
-
 class TestReduceRational:
     def test_examples(self):
-        assert reduce_rational(Fraction(1, 6), M25).value == 21
-        assert reduce_rational(Fraction(1, 252), M25).value == 13
-        assert reduce_rational(Fraction(0), M125).value == 0
+        assert reduce_rational(Fraction(1, 6), M25) == 21
+        assert reduce_rational(Fraction(1, 252), M25) == 13
+        assert reduce_rational(Fraction(0), M125) == 0
+        assert reduce_rational(Fraction(-1), M25) == 24
+        assert reduce_rational(26, M25) == 1
 
     def test_not_p_integral(self):
         with pytest.raises(ValueError, match="not p-integral"):
@@ -113,14 +96,14 @@ class TestReduceRational:
 
     def test_matches_extgcd_oracle(self):
         for num, den in [(1, 6), (7, 9), (-3, 11), (22, 7)]:
-            got = reduce_rational(Fraction(num, den), M25).value
+            got = reduce_rational(Fraction(num, den), M25)
             _, inv, _ = extgcd(den % 25, 25)
             assert got == num * inv % 25
 
     def test_recovers_numerator(self):
         q = Fraction(7, 66)
         r = reduce_rational(q, M125)
-        assert r.value * 66 % 125 == 7 % 125
+        assert 0 <= r < 125 and r * 66 % 125 == 7 % 125
 
     @given(
         st.fractions(max_denominator=500),
@@ -132,77 +115,40 @@ class TestReduceRational:
         if (q + r).denominator % 5 == 0:
             return
         left = reduce_rational(q + r, M125)
-        right = reduce_rational(q, M125) + reduce_rational(r, M125)
+        right = (reduce_rational(q, M125) + reduce_rational(r, M125)) % 125
         assert left == right
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(M25.residue(2), 10).value == 24
-        assert mod_pow(M25.residue(3), 0).value == 1
-        assert mod_pow(M25.residue(7), 4).value == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(M25.residue(2), -1)
-
-    @given(st.integers(min_value=0, max_value=624), st.integers(min_value=0, max_value=64))
-    def test_matches_naive_powering(self, base, e):
-        got = mod_pow(M125.residue(base), e).value
-        acc = 1
-        for _ in range(e):
-            acc = acc * base % 125
-        assert got == acc
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(M25.residue(6)).value == 21
-        assert mod_inverse(M125.residue(1)).value == 1
-
-    def test_non_invertible(self):
-        with pytest.raises(ValueError, match="non-invertible"):
-            mod_inverse(M25.residue(5))
-
-    @given(st.integers(min_value=1, max_value=342))
-    def test_product_is_one(self, x):
-        m = PrimePowerModulus(7, 3)
-        if x % 7 == 0:
-            return
-        r = m.residue(x)
-        assert (mod_inverse(r) * r).value == 1
 
 
 class TestElementOrder:
     def test_examples(self):
-        assert element_order(M25.residue(24)) == 2
-        assert element_order(M125.residue(1)) == 1
-        assert element_order(M25.residue(7)) == 4
+        assert element_order(24, M25) == 2
+        assert element_order(1, M125) == 1
+        assert element_order(7, M25) == 4
 
     def test_non_invertible(self):
         with pytest.raises(ValueError, match="non-invertible"):
-            element_order(M25.residue(10))
+            element_order(10, M25)
 
     @pytest.mark.parametrize("m", [M25, M125, PrimePowerModulus(7, 2), PrimePowerModulus(11, 1)])
     def test_matches_naive_order(self, m):
         for value in range(1, m.modulus):
             if value % m.p == 0:
                 continue
-            assert element_order(m.residue(value)) == naive_order(value, m.modulus)
+            assert element_order(value, m) == naive_order(value, m.modulus)
 
     @given(st.integers(min_value=1, max_value=2400))
     def test_divides_group_order(self, x):
         m = PrimePowerModulus(7, 4)
         if x % 7 == 0:
             return
-        assert m.unit_group_order() % element_order(m.residue(x)) == 0
+        assert m.unit_group_order() % element_order(x, m) == 0
 
 
 class TestRootsOfUnity:
     def test_examples(self):
-        assert {r.value for r in roots_of_unity(2, M25)} == {1, 24}
-        assert {r.value for r in roots_of_unity(1, M125)} == {1}
-        assert {r.value for r in roots_of_unity(4, M5)} == {1, 2, 3, 4}
+        assert roots_of_unity(2, M25) == {1, 24}
+        assert roots_of_unity(1, M125) == {1}
+        assert roots_of_unity(4, M5) == {1, 2, 3, 4}
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -210,7 +156,7 @@ class TestRootsOfUnity:
 
     @pytest.mark.parametrize("dd,m", [(2, M125), (4, M125), (3, PrimePowerModulus(7, 3)), (6, PrimePowerModulus(7, 2))])
     def test_matches_exhaustive_search(self, dd, m):
-        got = {r.value for r in roots_of_unity(dd, m)}
+        got = roots_of_unity(dd, m)
         want = {x for x in range(1, m.modulus) if x % m.p and pow(x, dd, m.modulus) == 1}
         assert got == want
 
@@ -219,8 +165,8 @@ class TestRootsOfUnity:
         m = PrimePowerModulus(7, 3)
         roots = roots_of_unity(dd, m)
         assert len(roots) == dd
-        assert all(element_order(r) in [d for d in range(1, dd + 1) if dd % d == 0] for r in roots)
-        assert len({r.value % 7 for r in roots}) == dd
+        assert all(element_order(r, m) in [d for d in range(1, dd + 1) if dd % d == 0] for r in roots)
+        assert len({r % 7 for r in roots}) == dd
 
 
 class TestFactorize:
@@ -235,4 +181,12 @@ class TestFactorize:
     def test_primitive_root_generates(self):
         for m in (M25, M125, PrimePowerModulus(7, 2)):
             g = primitive_root(m)
-            assert element_order(g) == m.unit_group_order()
+            assert element_order(g, m) == m.unit_group_order()
+
+    @pytest.mark.parametrize("m", [M5, M125, PrimePowerModulus(7, 3), PrimePowerModulus(13, 2)])
+    def test_unit_group_factors(self, m):
+        acc = 1
+        for q, e in m.unit_group_factors().items():
+            assert factorize(q) == {q: 1}
+            acc *= q**e
+        assert acc == m.unit_group_order()

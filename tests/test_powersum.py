@@ -6,12 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padlab.bernoulli import bernoulli
-from padlab.padic_core import PrimePowerModulus, vp
+from padlab.padic_core import vp
 from padlab.powersum import lemma1_check, lemma2_check, power_sum_exact, power_sum_mod
 from padlab.report import MARGIN_WINDOW, congruence_report
-
-M25 = PrimePowerModulus(5, 2)
-
 
 def faulhaber(n_max, e):
     # closed-form oracle: sum_{n=0}^{N-1} n^e + N^e - 0^e, exact rationals
@@ -26,26 +23,24 @@ def faulhaber(n_max, e):
 
 class TestPowerSumMod:
     def test_examples(self):
-        assert power_sum_mod(5, 14, M25).value == 10
-        assert power_sum_mod(5, 0, M25).value == 5
-        assert power_sum_mod(5, 2, PrimePowerModulus(5, 3)).value == 55
+        assert power_sum_mod(5, 14, 25) == 10
+        assert power_sum_mod(5, 0, 25) == 5
+        assert power_sum_mod(5, 2, 125) == 55
 
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=50))
     def test_matches_exact_sum(self, n_max, e):
-        m = PrimePowerModulus(7, 3)
-        assert power_sum_mod(n_max, e, m).value == power_sum_exact(n_max, e) % m.modulus
+        assert power_sum_mod(n_max, e, 7**3) == power_sum_exact(n_max, e) % 7**3
 
     @pytest.mark.parametrize("n_max,e", [(10, 3), (49, 14), (120, 7), (30, 0)])
     def test_matches_faulhaber_oracle(self, n_max, e):
-        m = PrimePowerModulus(11, 4)
-        assert power_sum_mod(n_max, e, m).value == faulhaber(n_max, e) % m.modulus
+        assert power_sum_mod(n_max, e, 11**4) == faulhaber(n_max, e) % 11**4
 
     @given(st.integers(min_value=1, max_value=80), st.integers(min_value=0, max_value=30))
     def test_range_additivity(self, n, e):
-        m = PrimePowerModulus(5, 4)
-        whole = power_sum_mod(2 * n, e, m)
-        upper = sum(pow(x, e, m.modulus) for x in range(n + 1, 2 * n + 1))
-        assert whole == power_sum_mod(n, e, m) + upper
+        pM = 5**4
+        whole = power_sum_mod(2 * n, e, pM)
+        upper = sum(pow(x, e, pM) for x in range(n + 1, 2 * n + 1))
+        assert whole == (power_sum_mod(n, e, pM) + upper) % pM
 
 
 class TestLemma1:

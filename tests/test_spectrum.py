@@ -6,6 +6,7 @@ from padlab.padic_core import PrimePowerModulus, element_order, roots_of_unity
 from padlab.params import ParameterSet
 from padlab.spectrum import (
     ResidueMultiset,
+    SubgroupDescriptor,
     act,
     build_S,
     build_S_x,
@@ -44,9 +45,9 @@ class TestMultiset:
 
 class TestEvalF:
     def test_examples(self):
-        assert eval_f(PS, 2).value == 23
-        assert eval_f(PS, 1).value == 2
-        assert eval_f(PS, 5).value == 0
+        assert eval_f(PS, 2) == 23
+        assert eval_f(PS, 1) == 2
+        assert eval_f(PS, 5) == 0
 
 
 class TestBuildS:
@@ -85,7 +86,8 @@ class TestAct:
 
     def test_example_swap(self):
         s = ResidueMultiset(M25, {2: 2, 23: 2})
-        assert act(M25.residue(24), s).counts == {23: 2, 2: 2}
+        assert act(24, s).counts == {23: 2, 2: 2}
+        assert act(-1, s) == act(24, s)
 
     def test_action_law(self):
         s = build_S(ParameterSet(5, 1, 0, 125))
@@ -93,10 +95,6 @@ class TestAct:
         for g in (7, 11, 13):
             for h in (3, 9):
                 assert act(g, act(h, s)) == act(g * h % m.modulus, s)
-
-    def test_rejects_cross_modulus(self):
-        with pytest.raises(ValueError, match="cross-modulus"):
-            act(PrimePowerModulus(5, 3).residue(2), build_S(PS))
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="non-invertible"):
@@ -177,7 +175,7 @@ class TestCorollary1:
 class TestStabilizer:
     def test_example(self):
         sub = stabilizer(ResidueMultiset(M25, {2: 2, 23: 2}))
-        assert sub.order == 2 and sub.generator.value == 24
+        assert sub.order == 2 and sub.generator == 24 and sub.modulus == M25
 
     def test_singleton(self):
         m5 = PrimePowerModulus(5, 1)
@@ -187,6 +185,11 @@ class TestStabilizer:
         m7 = PrimePowerModulus(7, 1)
         s = ResidueMultiset(m7, {u: 1 for u in range(1, 7)})
         assert stabilizer(s).order == 6
+
+    def test_descriptor_checks_generator_order(self):
+        assert SubgroupDescriptor(2, 24, M25).order == 2
+        with pytest.raises(ValueError, match="does not have order"):
+            SubgroupDescriptor(4, 24, M25)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -201,16 +204,16 @@ class TestStabilizer:
         fast = stabilizer(s)
         brute = stabilizer_brute_force(s)
         assert fast.order == brute.order
-        assert element_order(fast.generator) == fast.order
+        assert element_order(fast.generator, s.modulus) == fast.order
 
     def test_orbit_consistency(self):
         s = build_S(ParameterSet(5, 1, 0, 125))
         sub = stabilizer(s)
         m = s.modulus
         g = sub.generator
-        acc = m.residue(1)
+        acc = 1
         for _ in range(sub.order):
-            acc = acc * g
+            acc = acc * g % m.modulus
             assert act(acc, s) == s
         # elements outside the stabilizer move the multiset
         outside = [u for u in range(2, 40) if u % 5 and pow(u, sub.order, m.modulus) != 1]
