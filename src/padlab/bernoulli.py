@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic_core import is_odd_prime, is_prime
-from .report import CheckReport, rational_margin, timed_check
+from .report import CheckReport, rational_margin
 
 
 class BernoulliTable:
@@ -74,7 +74,6 @@ def _require_even_positive(r: int) -> None:
         raise ValueError(f"index must be even and positive, got {r}")
 
 
-@timed_check
 def adams_check(r: int, p: int) -> CheckReport:
     """Check p-integrality of B_r/r for even r not divisible by p-1."""
     _require_even_positive(r)
@@ -96,7 +95,6 @@ def adams_check(r: int, p: int) -> CheckReport:
     )
 
 
-@timed_check
 def von_staudt_clausen_check(n: int) -> CheckReport:
     """Check that B_n + sum of 1/q over primes q with (q-1) | n is an integer."""
     _require_even_positive(n)

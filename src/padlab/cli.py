@@ -4,7 +4,9 @@ Every checker is registered by name with its parameter list; the
 registry is the only description of a checker, and the CLI subcommands
 are derived from it.  run_check dispatches a flat {param: int} record and
 turns math-level ValueErrors into errored reports (unknown names or
-parameters raise instead).
+parameters raise instead).  It is also the one place a check is timed:
+the checkers are pure, and run_check stamps the wall-clock elapsed_ms on
+every report it returns, errored ones included.
 run_sweep expands each check's grid as a Cartesian product in sorted
 parameter order, so report order is deterministic regardless of the
 parallelism degree.  Serial or pooled, each process grows its own
@@ -20,6 +22,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,7 +122,7 @@ REGISTRY: dict[str, CheckerSpec] = {
 
 
 def run_check(name: str, args: dict) -> CheckReport:
-    """Dispatch a registered checker; math errors become errored reports."""
+    """Dispatch a registered checker, timed; math errors become errored reports."""
     checker = REGISTRY.get(name)
     if checker is None:
         raise ValueError(f"unknown checker name: {name!r}")
@@ -130,10 +133,13 @@ def run_check(name: str, args: dict) -> CheckReport:
     missing = set(checker.params) - set(args)
     if missing:
         raise ValueError(f"missing parameters for {name!r}: {sorted(missing)}")
+    t0 = time.perf_counter_ns()
     try:
-        return checker.run(args)
+        report = checker.run(args)
     except (ValueError, ArithmeticError) as exc:
-        return CheckReport(name=name, inputs=dict(args), holds=False, error=str(exc))
+        report = CheckReport(name=name, inputs=dict(args), holds=False, error=str(exc))
+    report.elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bernoulli import bernoulli
-from .padic_core import is_odd_prime, vp
+from .padic_core import is_odd_prime, is_prime_gt3, vp
 from .params import ParameterSet, StrongParameterSet
 from .powersum import power_sum_mod
-from .report import MARGIN_WINDOW, CheckReport, congruence_report, timed_check
+from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
 def _strong(ps: ParameterSet) -> StrongParameterSet:
@@ -35,7 +35,6 @@ def _strong(ps: ParameterSet) -> StrongParameterSet:
     return ps if isinstance(ps, StrongParameterSet) else StrongParameterSet(ps.p, ps.a, ps.t, ps.k)
 
 
-@timed_check
 def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
     """Check the linearity of sum n^((k+p^a(p-1)r)p^t) in r, mod p^M."""
     ps = _strong(ps)
@@ -51,7 +50,6 @@ def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
     return congruence_report("theorem2", {**ps.as_dict(), "r": r}, sum_r, r * sum_1, ps.p, exponent)
 
 
-@timed_check
 def corollary2_check(p: int, a: int, t: int, b: int, v: int | None = None) -> CheckReport:
     """Check sum_{n<=p^(a+1)} n^b (n^(p^(a+t)(p-1)) - 1)^2 ≡ 0 mod p^(3a+t+v+2).
 
@@ -93,15 +91,13 @@ def corollary2_check(p: int, a: int, t: int, b: int, v: int | None = None) -> Ch
     )
 
 
-@timed_check
-def case1_step_check(p: int, a: int, r: int, check_hypothesis: bool = True) -> CheckReport:
+def case1_step_check(p: int, a: int, r: int) -> CheckReport:
     """Check B_{r+p^a(p-1)} ≡ (r+p^a(p-1)) B_r/r - p^(r-1) B_r mod p^(a+vp(r)+1).
 
-    The step presumes the congruences one level down; with
-    check_hypothesis the mod-p^a layer is verified first and reported
-    alongside.
+    The step presumes the congruences one level down, so the mod-p^a
+    layer is verified too and reported alongside.
     """
-    if not (p > 3 and is_odd_prime(p)):
+    if not is_prime_gt3(p):
         raise ValueError(f"p must be a prime greater than 3, got {p}")
     if a < 1:
         raise ValueError("a must be a positive integer")
@@ -116,21 +112,17 @@ def case1_step_check(p: int, a: int, r: int, check_hypothesis: bool = True) -> C
     shift = p**a * (p - 1)
     lhs_q = bernoulli(r + shift)
     rhs_q = (r + shift) * bernoulli(r) / r - p ** (r - 1) * bernoulli(r)
-    details: dict = {}
-    if check_hypothesis:
-        # the layer below: the corrected B_r/r is constant on the index
-        # class r + i*p^(a-1)(p-1) mod p^a
-        sub = []
-        step = p ** (a - 1) * (p - 1)
-        for i in range(1, p):
-            rep = kummer_check(p, a - 1, r, r + i * step)
-            sub.append({"s": r + i * step, "holds": rep.holds})
-        details["hypothesis"] = sub
-        details["hypothesis_holds"] = all(entry["holds"] for entry in sub)
+    # the layer below: the corrected B_r/r is constant on the index
+    # class r + i*p^(a-1)(p-1) mod p^a
+    sub = []
+    step = p ** (a - 1) * (p - 1)
+    for i in range(1, p):
+        rep = kummer_check(p, a - 1, r, r + i * step)
+        sub.append({"s": r + i * step, "holds": rep.holds})
+    details = {"hypothesis": sub, "hypothesis_holds": all(entry["holds"] for entry in sub)}
     return congruence_report("case1", {"p": p, "a": a, "r": r}, lhs_q, rhs_q, p, exponent, details)
 
 
-@timed_check
 def case2_check(ps: ParameterSet, b: int) -> CheckReport:
     """Check (k+p^a(p-1)) B_{(k+b p^a(p-1))p^t} ≡ (k+b p^a(p-1)) B_{(k+p^a(p-1))p^t}
     mod p^(3a+t+1)."""
@@ -153,7 +145,6 @@ def case2_check(ps: ParameterSet, b: int) -> CheckReport:
     )
 
 
-@timed_check
 def case3_branch_check(ps: ParameterSet) -> CheckReport:
     """Check sum n^((k+p^a(p-1))p^t) ≡ p * sum n^((k+p^a(p-1))p^(t-1)) mod p^(3a+t+2)."""
     ps = _strong(ps)
@@ -169,7 +160,6 @@ def case3_branch_check(ps: ParameterSet) -> CheckReport:
     return congruence_report("case3", ps.as_dict(), sum_t, ps.p * sum_t1, ps.p, exponent)
 
 
-@timed_check
 def kummer_check(p: int, a: int, r: int, s: int) -> CheckReport:
     """Check (1-p^(r-1)) B_r/r ≡ (1-p^(s-1)) B_s/s mod p^(a+1)."""
     if not is_odd_prime(p):

@@ -33,6 +33,10 @@ def is_odd_prime(p: int) -> bool:
     return p >= 3 and is_prime(p)
 
 
+def is_prime_gt3(p: int) -> bool:
+    return p > 3 and is_prime(p)
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer: the largest e with p^e | n."""
     if n == 0:

@@ -20,8 +20,8 @@ caller maps the validity region.
 from __future__ import annotations
 
 from .bernoulli import bernoulli
-from .padic_core import is_odd_prime, vp
-from .report import MARGIN_WINDOW, CheckReport, congruence_report, timed_check
+from .padic_core import is_odd_prime, is_prime_gt3, vp
+from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
 def power_sum_mod(n_max: int, e: int, modulus: int) -> int:
@@ -39,7 +39,6 @@ def power_sum_exact(n_max: int, e: int) -> int:
     return sum(n**e for n in range(1, n_max + 1))
 
 
-@timed_check
 def lemma1_check(p: int, a: int, r: int) -> CheckReport:
     """Report on  sum_{n=1}^{p^a} n^r  ≡  p^a B_r  (mod p^(2a+vp(r)+1))."""
     if not is_prime_gt3(p):
@@ -55,7 +54,6 @@ def lemma1_check(p: int, a: int, r: int) -> CheckReport:
     return congruence_report("lemma1", {"p": p, "a": a, "r": r}, lhs, rhs, p, exponent)
 
 
-@timed_check
 def lemma2_check(p: int, a: int, rr: int, kk: int) -> CheckReport:
     """Check  sum_{n=1}^{p^a} n^kk  ≡  0  (mod p^(rr+a))."""
     if not is_odd_prime(p):
@@ -74,7 +72,3 @@ def lemma2_check(p: int, a: int, rr: int, kk: int) -> CheckReport:
     exponent = rr + a
     lhs = power_sum_mod(p**a, kk, p ** (exponent + MARGIN_WINDOW))
     return congruence_report("lemma2", {"p": p, "a": a, "rr": rr, "kk": kk}, lhs, 0, p, exponent)
-
-
-def is_prime_gt3(p: int) -> bool:
-    return p > 3 and is_odd_prime(p)

@@ -12,10 +12,8 @@ counts).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 
 from .padic_core import PrimePowerModulus, reduce_rational, vp, vp_rational
 
@@ -34,7 +32,7 @@ class CheckReport:
     rhs: str = ""
     modulus: tuple[int, int] | None = None  # (p, required exponent)
     margin: int | None = None
-    elapsed_ms: int = 0
+    elapsed_ms: int = 0  # set by cli.run_check; checkers never read a clock
     error: str | None = None
     details: dict = field(default_factory=dict)
 
@@ -70,40 +68,27 @@ def _jsonify(v):
     return v
 
 
-def timed_check(fn):
-    """Fill in elapsed_ms on the CheckReport a checker returns."""
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        return rep
-
-    return wrapper
-
-
-def integer_margin(diff: int, p: int, required: int, *, window: int = MARGIN_WINDOW) -> int:
+def integer_margin(diff: int, p: int, required: int) -> int:
     """vp(diff) - required for an exact integer difference, saturated above.
 
-    diff may be a residue computed mod p^(required + window); valuations
-    at or beyond the window report as +window.
+    diff may be a residue computed mod p^(required + MARGIN_WINDOW);
+    valuations at or beyond the window report as +MARGIN_WINDOW.
     """
-    cap = required + window
+    cap = required + MARGIN_WINDOW
     diff %= p**cap
     val = cap if diff == 0 else min(vp(diff, p), cap)
     return val - required
 
 
-def rational_margin(diff: Fraction, p: int, required: int, *, window: int = MARGIN_WINDOW) -> int:
+def rational_margin(diff: Fraction, p: int, required: int) -> int:
     """vp(diff) - required for a rational difference, saturated above.
 
-    diff may be exact or known only mod p^(required + window): the
+    diff may be exact or known only mod p^(required + MARGIN_WINDOW): the
     saturated value is the same.
     """
     if diff == 0:
-        return window
-    return min(vp_rational(diff, p) - required, window)
+        return MARGIN_WINDOW
+    return min(vp_rational(diff, p) - required, MARGIN_WINDOW)
 
 
 def congruence_report(

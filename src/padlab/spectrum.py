@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from .jet import derivative_mod
 from .padic_core import PrimePowerModulus, element_order, primitive_root, roots_of_unity
 from .params import ParameterSet, f_exponents
-from .report import CheckReport, timed_check
+from .report import CheckReport
 
 
 class ResidueMultiset:
@@ -40,15 +41,8 @@ class ResidueMultiset:
         self.modulus = modulus
         self.counts = dict(counts)
 
-    @classmethod
-    def from_values(cls, modulus: PrimePowerModulus, values: Iterable[int]) -> "ResidueMultiset":
-        return cls(modulus, Counter(v % modulus.modulus for v in values))
-
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def support(self) -> list[int]:
-        return sorted(self.counts)
 
     def __eq__(self, other):
         if not isinstance(other, ResidueMultiset):
@@ -74,13 +68,6 @@ class SubgroupDescriptor:
     def __post_init__(self):
         if element_order(self.generator, self.modulus) != self.order:
             raise ValueError(f"generator {self.generator} does not have order {self.order}")
-
-
-def eval_f(ps: ParameterSet, n: int) -> int:
-    """f(n) mod p^M, in [0, p^M)."""
-    pM = ps.modulus().modulus
-    e_plus, e_minus = f_exponents(ps)
-    return (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
 
 
 def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
@@ -131,7 +118,6 @@ def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
     return True
 
 
-@timed_check
 def theorem1_check(ps: ParameterSet) -> CheckReport:
     """Check that every d-th root of unity g satisfies g*S = S."""
     s = build_S(ps)
@@ -155,7 +141,6 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
     )
 
 
-@timed_check
 def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckReport:
     """Check f(n') ≡ g*f(n) mod p^M for n' ≡ n*x' mod p^(a+1), x'^k' ≡ g mod p^(a+1)."""
     m = ps.modulus()
@@ -172,8 +157,8 @@ def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckRepor
         raise ValueError(f"n = {n} must be invertible mod p = {ps.p}")
 
     nprime = (n * xprime - 1) % p_a1 + 1  # representative in [1, p^(a+1)]
-    lhs = eval_f(ps, nprime)
-    rhs = g * eval_f(ps, n) % pM
+    lhs = derivative_mod(ps, 0, nprime, pM)
+    rhs = g * derivative_mod(ps, 0, n, pM) % pM
     return CheckReport(
         name="transport",
         inputs={**ps.as_dict(), "g": g, "xprime": xprime, "n": n},
@@ -185,7 +170,6 @@ def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckRepor
     )
 
 
-@timed_check
 def corollary1_check(ps: ParameterSet, x: int, mu: int) -> CheckReport:
     """Check S_x = S_y for y = x*mu, mu a gcd(k,p-1)-th root of unity mod p."""
     gk = gcd(ps.k, ps.p - 1)
@@ -242,7 +226,6 @@ def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
     raise AssertionError("stabilizer scan found no generator")  # not cyclic: impossible
 
 
-@timed_check
 def theorem3_check(ps: ParameterSet) -> CheckReport:
     """Check Stab(S) = mu_n with n = d*p^a when v < t and n = d when v = t."""
     s = build_S(ps)

@@ -2,15 +2,19 @@ import json
 import os
 import re
 import shlex
+import itertools
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import padlab
 import padlab.bernoulli as bernoulli_module
 from padlab.bernoulli import BernoulliTable
+from padlab.congruence_suite import case1_step_check
 from padlab.cli import (
     REGISTRY,
     SweepConfig,
@@ -69,6 +73,25 @@ class TestRunCheck:
     def test_missing_parameter_raises(self):
         with pytest.raises(ValueError, match="missing parameters"):
             run_check("kummer", {"p": 5})
+
+    def test_elapsed_ms_is_timed_at_dispatch(self, monkeypatch):
+        # a clock that advances 5 ms per read: every report, errored ones
+        # included, carries the one interval run_check measured
+        ticks = itertools.count(0, 5_000_000)
+        monkeypatch.setattr("padlab.cli.time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+        held = run_check("kummer", {"p": 5, "a": 0, "r": 2, "s": 6})
+        failed = run_check("lemma1", {"p": 5, "a": 1, "r": 2})
+        errored = run_check("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 4})
+        assert held.holds and not failed.holds and failed.error is None and errored.error
+        assert [r.elapsed_ms for r in (held, failed, errored)] == [5, 5, 5]
+
+    def test_library_calls_read_no_clock(self, monkeypatch):
+        # checkers are pure: even while the clock moves 5 ms per read, a direct
+        # call (case1 with its nested kummer calls) reports elapsed_ms = 0
+        ticks = itertools.count(0, 0.005)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        first, second = case1_step_check(5, 1, 2), case1_step_check(5, 1, 2)
+        assert first == second and first.elapsed_ms == 0
 
     def test_every_registered_checker_has_a_working_point(self, capsys):
         assert set(POINTS) == set(REGISTRY)

@@ -107,8 +107,9 @@ class TestCase1:
         assert case1_step_check(5, 1, 6).holds
 
     def test_hypothesis_layer_optional(self):
-        rep = case1_step_check(5, 1, 2, check_hypothesis=False)
-        assert rep.holds and "hypothesis" not in rep.details
+        # the mod-p^a layer is always checked and reported
+        rep = case1_step_check(5, 1, 2)
+        assert rep.holds and rep.details["hypothesis_holds"]
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="greater than 3"):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from padlab.cli import run_check
 from padlab.jet import (
     corollary3_check,
     derivative_mod,
     derivative_valuation,
-    falling_factorial,
     lemma4_check,
     lemma5_count,
 )
@@ -30,9 +30,12 @@ def poly_eval(terms, x):
 
 class TestDerivative:
     def test_falling_factorial(self):
-        assert falling_factorial(14, 1) == 14
-        assert falling_factorial(14, 2) == 14 * 13
-        assert falling_factorial(3, 5) == 0
+        # f^(m)(1) = FF(14, m) + FF(6, m), and FF(e, m) = 0 once m > e
+        big = 5**12
+        assert derivative_mod(PS, 1, 1, big) == 14 + 6
+        assert derivative_mod(PS, 2, 1, big) == 14 * 13 + 6 * 5
+        assert derivative_mod(PS, 7, 1, big) == 14 * 13 * 12 * 11 * 10 * 9 * 8
+        assert derivative_mod(PS, 15, 3, big) == 0
 
     def test_exact_values(self):
         # f'(1) = 14 + 6, f''(1) = 182 + 30, f'''(1) = 2184 + 120
@@ -95,6 +98,12 @@ class TestLemma4:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="invertible"):
             lemma4_check(PS, 1, 10)
+        # derivative_valuation's guards, in its order, seen through the checker and the dispatcher
+        for n in (1, 10):
+            with pytest.raises(ValueError, match="derivative order must be >= 1"):
+                lemma4_check(PS, 0, n)
+        rep = run_check("lemma4", {"p": 5, "a": 0, "t": 0, "k": 10, "m": 0, "n": 1})
+        assert rep.error == "derivative order must be >= 1" and not rep.holds
 
     def test_floor_only_for_higher_orders(self):
         rep = lemma4_check(PS, 4, 2)

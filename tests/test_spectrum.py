@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from padlab.jet import derivative_mod
 from padlab.padic_core import PrimePowerModulus, element_order, roots_of_unity
 from padlab.params import ParameterSet
 from padlab.spectrum import (
@@ -11,7 +12,6 @@ from padlab.spectrum import (
     build_S,
     build_S_x,
     corollary1_check,
-    eval_f,
     j_balanced,
     stabilizer,
     stabilizer_brute_force,
@@ -38,16 +38,17 @@ class TestMultiset:
             ResidueMultiset(M25, {2: 0})
 
     def test_from_values(self):
-        s = ResidueMultiset.from_values(M25, [2, 27, 23])
+        s = ResidueMultiset(M25, {2: 2, 23: 1})
         assert s.counts == {2: 2, 23: 1}
-        assert s.total() == 3 and s.support() == [2, 23]
+        assert s.total() == 3 and len(s) == 2
 
 
 class TestEvalF:
     def test_examples(self):
-        assert eval_f(PS, 2) == 23
-        assert eval_f(PS, 1) == 2
-        assert eval_f(PS, 5) == 0
+        # f(n) = n^14 + n^6 mod 25 is derivative_mod's order 0
+        assert derivative_mod(PS, 0, 2, 25) == 23
+        assert derivative_mod(PS, 0, 1, 25) == 2
+        assert derivative_mod(PS, 0, 5, 25) == 0
 
 
 class TestBuildS:
