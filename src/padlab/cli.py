@@ -1,16 +1,18 @@
 """Command-line front end and parameter-grid sweep orchestration.
 
-Every checker is registered by name with its parameter list; the
-registry is the only description of a checker, and the CLI subcommands
-are derived from it.  run_check dispatches a flat {param: int} record and
-turns math-level ValueErrors into errored reports (unknown names or
-parameters raise instead).  It is also the one place a check is timed:
-the checkers are pure, and run_check stamps the wall-clock elapsed_ms on
-every report it returns, errored ones included.
+Every checker is registered by name with its module and function; the
+function's signature is the only statement of its parameters, a leading
+`ps` standing for p, a, t, k.  The CLI subcommands and the sweep-grid
+keys are derived from it.  run_check dispatches a flat {param: int}
+record and turns math-level ValueErrors into errored reports (unknown
+names or parameters raise instead).  It is also the one place a check is
+timed: the checkers are pure, and run_check stamps the wall-clock
+elapsed_ms on every report it returns, errored ones included.
 run_sweep expands each check's grid as a Cartesian product in sorted
 parameter order, so report order is deterministic regardless of the
-parallelism degree.  Serial or pooled, each process grows its own
-Bernoulli table lazily, only as far as the points it runs read.
+parallelism degree.  A pool never has more workers than points.  Serial
+or pooled, each process grows its own Bernoulli table lazily, only as
+far as the points it runs read.
 
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
@@ -19,105 +21,69 @@ parameter errors only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from types import ModuleType
 
-from . import __version__, congruence_suite, jet, powersum, spectrum
-from .bernoulli import adams_check, bernoulli, von_staudt_clausen_check
+from . import __version__, bernoulli, congruence_suite, jet, powersum, spectrum
 from .params import ParameterSet
 from .report import CheckReport
 
 
-def _ps(args: dict) -> ParameterSet:
-    return ParameterSet(args["p"], args["a"], args["t"], args["k"])
+_PS_FIELDS = tuple(inspect.signature(ParameterSet).parameters)  # p, a, t, k
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckerSpec:
-    run: Callable[[dict], CheckReport]
-    params: tuple[str, ...]
-    optional: tuple[str, ...] = ()
+    """The checker function `fn` of `module`; its signature is the only
+    statement of the checker's parameters.  Required parameters become
+    `params` (a leading `ps` stands for ParameterSet's p, a, t, k) and
+    defaulted ones `optional`."""
+
+    module: ModuleType
+    fn: str
     # CLI flag spellings that differ from the parameter name
     flags: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        sig = inspect.signature(getattr(self.module, self.fn)).parameters.values()
+        required = [q.name for q in sig if q.default is q.empty]
+        self.ps_first = required[:1] == ["ps"]
+        self.params = (*_PS_FIELDS, *required[1:]) if self.ps_first else tuple(required)
+        self.optional = tuple(q.name for q in sig if q.default is not q.empty)
+
+    def run(self, args: dict) -> CheckReport:
+        # looked up per call, so a rebound module attribute (a tracer's
+        # wrapper, a test's spy) is what runs
+        fn = getattr(self.module, self.fn)
+        if not self.ps_first:
+            return fn(**args)
+        rest = dict(args)
+        return fn(ParameterSet(*map(rest.pop, _PS_FIELDS)), **rest)
+
 
 REGISTRY: dict[str, CheckerSpec] = {
-    "kummer": CheckerSpec(
-        lambda a: congruence_suite.kummer_check(a["p"], a["a"], a["r"], a["s"]),
-        ("p", "a", "r", "s"),
-    ),
-    "theorem2": CheckerSpec(
-        lambda a: congruence_suite.theorem2_check(_ps(a), a["r"]),
-        ("p", "a", "t", "k", "r"),
-    ),
-    "corollary2": CheckerSpec(
-        lambda a: congruence_suite.corollary2_check(
-            a["p"], a["a"], a["t"], a["b"], a.get("v")
-        ),
-        ("p", "a", "t", "b"),
-        optional=("v",),
-    ),
-    "case1": CheckerSpec(
-        lambda a: congruence_suite.case1_step_check(a["p"], a["a"], a["r"]),
-        ("p", "a", "r"),
-    ),
-    "case2": CheckerSpec(
-        lambda a: congruence_suite.case2_check(_ps(a), a["b"]),
-        ("p", "a", "t", "k", "b"),
-    ),
-    "case3": CheckerSpec(
-        lambda a: congruence_suite.case3_branch_check(_ps(a)),
-        ("p", "a", "t", "k"),
-    ),
-    "lemma1": CheckerSpec(
-        lambda a: powersum.lemma1_check(a["p"], a["a"], a["r"]),
-        ("p", "a", "r"),
-    ),
-    "lemma2": CheckerSpec(
-        lambda a: powersum.lemma2_check(a["p"], a["a"], a["rr"], a["kk"]),
-        ("p", "a", "rr", "kk"),
-        flags={"kk": "k"},
-    ),
-    "lemma4": CheckerSpec(
-        lambda a: jet.lemma4_check(_ps(a), a["m"], a["n"]),
-        ("p", "a", "t", "k", "m", "n"),
-    ),
-    "lemma5": CheckerSpec(
-        lambda a: jet.lemma5_count(_ps(a), a["s"]),
-        ("p", "a", "t", "k", "s"),
-    ),
-    "corollary3": CheckerSpec(
-        lambda a: jet.corollary3_check(_ps(a), a["s0"], a["kk"], a["x"]),
-        ("p", "a", "t", "k", "s0", "kk", "x"),
-    ),
-    "theorem1": CheckerSpec(
-        lambda a: spectrum.theorem1_check(_ps(a)),
-        ("p", "a", "t", "k"),
-    ),
-    "theorem3": CheckerSpec(
-        lambda a: spectrum.theorem3_check(_ps(a)),
-        ("p", "a", "t", "k"),
-    ),
-    "transport": CheckerSpec(
-        lambda a: spectrum.transport_check(_ps(a), a["g"], a["xprime"], a["n"]),
-        ("p", "a", "t", "k", "g", "xprime", "n"),
-    ),
-    "corollary1": CheckerSpec(
-        lambda a: spectrum.corollary1_check(_ps(a), a["x"], a["mu"]),
-        ("p", "a", "t", "k", "x", "mu"),
-    ),
-    "adams": CheckerSpec(
-        lambda a: adams_check(a["r"], a["p"]),
-        ("r", "p"),
-    ),
-    "von_staudt_clausen": CheckerSpec(
-        lambda a: von_staudt_clausen_check(a["n"]),
-        ("n",),
-    ),
+    "kummer": CheckerSpec(congruence_suite, "kummer_check"),
+    "theorem2": CheckerSpec(congruence_suite, "theorem2_check"),
+    "corollary2": CheckerSpec(congruence_suite, "corollary2_check"),
+    "case1": CheckerSpec(congruence_suite, "case1_step_check"),
+    "case2": CheckerSpec(congruence_suite, "case2_check"),
+    "case3": CheckerSpec(congruence_suite, "case3_branch_check"),
+    "lemma1": CheckerSpec(powersum, "lemma1_check"),
+    "lemma2": CheckerSpec(powersum, "lemma2_check", flags={"kk": "k"}),
+    "lemma4": CheckerSpec(jet, "lemma4_check"),
+    "lemma5": CheckerSpec(jet, "lemma5_count"),
+    "corollary3": CheckerSpec(jet, "corollary3_check"),
+    "theorem1": CheckerSpec(spectrum, "theorem1_check"),
+    "theorem3": CheckerSpec(spectrum, "theorem3_check"),
+    "transport": CheckerSpec(spectrum, "transport_check"),
+    "corollary1": CheckerSpec(spectrum, "corollary1_check"),
+    "adams": CheckerSpec(bernoulli, "adams_check"),
+    "von_staudt_clausen": CheckerSpec(bernoulli, "von_staudt_clausen_check"),
 }
 
 
@@ -188,6 +154,11 @@ class SweepConfig:
         return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
 
 
+def _exit_code(failed: int, errored: int) -> int:
+    """The exit code of a run with these counts of failed and errored points."""
+    return 1 if failed else 2 if errored else 0
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -216,11 +187,7 @@ class SweepReport:
         }
 
     def exit_code(self) -> int:
-        if self.summary["failed"] > 0:
-            return 1
-        if self.summary["errored"] > 0:
-            return 2
-        return 0
+        return _exit_code(self.summary["failed"], self.summary["errored"])
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,10 +214,12 @@ def _run_point(point: tuple[str, dict]) -> CheckReport:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     points = list(grid_points(config))
-    if config.jobs > 1:
+    # a fork pool starts all its workers at once, however few points there are
+    workers = min(config.jobs, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_point, points))
     else:
         reports = [_run_point(pt) for pt in points]
@@ -313,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_exit_code(report: CheckReport) -> int:
-    if report.error is not None:
-        return 2
-    return 0 if report.holds else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cmd = args.command
@@ -328,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
         record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
         report = run_check(cmd, record)
         print(_dump(report.to_json_dict()))
-        return _check_exit_code(report)
+        failed = report.error is None and not report.holds
+        return _exit_code(failed, report.error is not None)
 
     if cmd in ("stabilizer", "balance"):
         try:
@@ -353,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.n < 0:
             print(_dump({"error": "n must be nonnegative"}), file=sys.stderr)
             return 2
-        value = bernoulli(args.n)
+        value = bernoulli.bernoulli(args.n)
         print(f"{value.numerator}/{value.denominator}")
         return 0
 

@@ -93,16 +93,16 @@ def lemma4_check(ps: ParameterSet, m: int, n: int) -> CheckReport:
     )
 
 
-def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
-    """Check f(s + p^kk x) ≡ f(s) + f'(s) p^kk x mod p^(2a+t+v+2kk).
+def corollary3_check(ps: ParameterSet, s0: int, kk: int, x: int) -> CheckReport:
+    """Check f(s + p^kk x) ≡ f(s) + f'(s) p^kk x mod p^(2a+t+v+2kk) at s = s0.
 
     When v < t the congruence is also claimed one exponent higher; both
     verdicts are reported and the overall verdict includes the strong
     form exactly when it applies.
     """
     p = ps.p
-    if s % p == 0:
-        raise ValueError(f"s = {s} must be invertible mod p = {p}")
+    if s0 % p == 0:
+        raise ValueError(f"s = {s0} must be invertible mod p = {p}")
     if kk < 1:
         raise ValueError("kk must be >= 1")
 
@@ -111,8 +111,8 @@ def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
     cap = strong_exp + MARGIN_WINDOW
     big = p**cap
 
-    lhs_big = derivative_mod(ps, 0, s + p**kk * x, big)
-    rhs_big = (derivative_mod(ps, 0, s, big) + derivative_mod(ps, 1, s, big) * p**kk * x) % big
+    lhs_big = derivative_mod(ps, 0, s0 + p**kk * x, big)
+    rhs_big = (derivative_mod(ps, 0, s0, big) + derivative_mod(ps, 1, s0, big) * p**kk * x) % big
 
     diff = (lhs_big - rhs_big) % big
     val = cap if diff == 0 else vp(diff, p)
@@ -122,7 +122,7 @@ def corollary3_check(ps: ParameterSet, s: int, kk: int, x: int) -> CheckReport:
 
     return CheckReport(
         name="corollary3",
-        inputs={**ps.as_dict(), "s": s, "kk": kk, "x": x},
+        inputs={**ps.as_dict(), "s": s0, "kk": kk, "x": x},
         holds=weak_holds and (strong_holds or not strong_applies),
         lhs=str(lhs_big % p**weak_exp),
         rhs=str(rhs_big % p**weak_exp),

@@ -6,6 +6,7 @@ import itertools
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -106,6 +107,24 @@ class TestRunCheck:
             assert main(argv) == 0, argv
             assert json.loads(capsys.readouterr().out)["holds"] is True
 
+    def test_registry_calls_checker_through_its_module(self, monkeypatch):
+        # the registry looks each checker up on its module per call, so a
+        # rebound attribute (the benchmark tracer's wrapper) is what runs
+        for name, spec in REGISTRY.items():
+            original = getattr(spec.module, spec.fn)
+            calls = []
+
+            def recording(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            expected = canonical_body(run_check(name, POINTS[name]).to_json_dict())
+            monkeypatch.setattr(spec.module, spec.fn, recording)
+            report = run_check(name, POINTS[name])
+            monkeypatch.undo()
+            assert len(calls) == 1, name
+            assert canonical_body(report.to_json_dict()) == expected, name
+
 
 class TestReportJson:
     def test_big_integers_render_as_strings(self):
@@ -148,20 +167,40 @@ class TestSweep:
         assert sweep.exit_code() == 2
 
     def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch):
-        # k = 15 fails 2p | k, so the point errors before it would read
-        # B_575; neither a serial nor a pooled sweep may grow the table for it
+        # k = 15 fails 2p | k, so both points error before they would read
+        # B_575; neither a serial nor a pooled sweep may grow the table for them
         for jobs in (1, 2):
             table = BernoulliTable()
             monkeypatch.setattr(bernoulli_module, "_TABLE", table)
             cfg = SweepConfig.from_dict(
                 {
-                    "checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2]}}],
+                    "checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}],
                     "jobs": jobs,
                 }
             )
             sweep = run_sweep(cfg)
-            assert sweep.summary["errored"] == 1
+            assert sweep.summary["errored"] == 2
             assert len(table) == 2, jobs
+
+    def test_pool_starts_no_more_workers_than_points(self, monkeypatch):
+        # a fork pool starts max_workers processes at once, however few points
+        spawned = []
+        spawn = ProcessPoolExecutor._spawn_process
+
+        def spy(pool):
+            spawned.append(pool._max_workers)
+            spawn(pool)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", spy)
+        one = {"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}], "jobs": 4}
+        sweep = run_sweep(SweepConfig.from_dict(one))
+        assert spawned == [] and sweep.summary["held"] == 1
+        assert sweep.config["jobs"] == 4
+        three = {**KUMMER_GRID, "jobs": 4}
+        sweep = run_sweep(SweepConfig.from_dict(three))
+        assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 4
+        # fork, the default start method on Linux, starts all three at once
+        assert spawned == [3] * len(spawned) and 1 <= len(spawned) <= 3
 
     def test_failed_point_gives_exit_1(self):
         cfg = SweepConfig.from_dict(
