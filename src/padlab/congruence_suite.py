@@ -14,9 +14,10 @@ kummer_check: the Euler-factor-corrected congruence
 for even r ≡ s mod p^a(p-1) with (p-1) ∤ r.
 
 Bernoulli comparisons are exact rational arithmetic; power-sum
-comparisons run term-by-term mod p^(M + MARGIN_WINDOW).  Both go through
-report.congruence_report, except corollary2, whose exact sum also gives
-the unsaturated margin and sum_valuation it reports.
+comparisons take powersum.power_sum_mod mod p^(M + MARGIN_WINDOW).  Both
+go through report.congruence_report, except corollary2, which reports the
+unsaturated margin and sum_valuation of its exact sum, read from residues
+mod p^K with K doubled until the sum is nonzero.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
         raise ValueError(f"k + p^a(p-1)r = {ps.k + shift * r} must be positive")
 
     exponent = ps.M
-    big = ps.p ** (exponent + MARGIN_WINDOW)
+    window = exponent + MARGIN_WINDOW
     n_max = ps.p ** (ps.a + 1)
-    sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, big)
-    sum_1 = power_sum_mod(n_max, (ps.k + shift) * ps.p**ps.t, big)
+    sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, ps.p, window)
+    sum_1 = power_sum_mod(n_max, (ps.k + shift) * ps.p**ps.t, ps.p, window)
     return congruence_report("theorem2", {**ps.as_dict(), "r": r}, sum_r, r * sum_1, ps.p, exponent)
 
 
@@ -56,7 +57,9 @@ def corollary2_check(p: int, a: int, t: int, b: int, v: int | None = None) -> Ch
     v may be given explicitly to map the validity region.  When omitted it
     is derived by treating c = b/p^t in the role of k: v = min(vp(c)-2a-1, t)
     if p^(2a+1) | c, else 0.  The report records the exact valuation of the
-    sum.
+    sum, read from residues: the sum is a positive integer (every term is
+    nonnegative, the n = 2 term positive), so it is taken mod p^K from
+    K = E + MARGIN_WINDOW, doubling K while the residue is 0.
     """
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -77,8 +80,18 @@ def corollary2_check(p: int, a: int, t: int, b: int, v: int | None = None) -> Ch
 
     exponent = 3 * a + t + v + 2
     inner = p ** (a + t) * (p - 1)
-    total = sum(n**b * (n**inner - 1) ** 2 for n in range(1, p ** (a + 1) + 1))
-    val = vp(total, p)  # total > 0: every term is nonnegative, n=2 term positive
+    n_max = p ** (a + 1)
+    K = exponent + MARGIN_WINDOW
+    while True:  # n^b (n^inner - 1)^2 = n^(b+2 inner) - 2 n^(b+inner) + n^b
+        total = (
+            power_sum_mod(n_max, b + 2 * inner, p, K)
+            - 2 * power_sum_mod(n_max, b + inner, p, K)
+            + power_sum_mod(n_max, b, p, K)
+        ) % p**K
+        if total:
+            break
+        K *= 2
+    val = vp(total, p)
     return CheckReport(
         name="corollary2",
         inputs={"p": p, "a": a, "t": t, "b": b, "v": v},
@@ -152,11 +165,11 @@ def case3_branch_check(ps: ParameterSet) -> CheckReport:
         raise ValueError("t must be >= 1 for the branching step")
 
     exponent = 3 * ps.a + ps.t + 2
-    big = ps.p ** (exponent + MARGIN_WINDOW)
+    window = exponent + MARGIN_WINDOW
     n_max = ps.p ** (ps.a + 1)
     base = ps.k + ps.p**ps.a * (ps.p - 1)
-    sum_t = power_sum_mod(n_max, base * ps.p**ps.t, big)
-    sum_t1 = power_sum_mod(n_max, base * ps.p ** (ps.t - 1), big)
+    sum_t = power_sum_mod(n_max, base * ps.p**ps.t, ps.p, window)
+    sum_t1 = power_sum_mod(n_max, base * ps.p ** (ps.t - 1), ps.p, window)
     return congruence_report("case3", ps.as_dict(), sum_t, ps.p * sum_t1, ps.p, exponent)
 
 

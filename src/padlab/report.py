@@ -5,9 +5,10 @@ carries a valuation margin: vp(lhs - rhs) minus the required modulus
 exponent, saturated at +MARGIN_WINDOW.  Every two-sided checker builds
 its report with congruence_report, from sides that are exact or already
 reduced mod p^(E + MARGIN_WINDOW); the saturated margin is the same
-either way.  corollary2 is the one exact, unsaturated reporter.  A
-margin is None for checks with no scalar difference (multiset equality,
-counts).
+either way.  corollary2 is the one unsaturated reporter: it reads the
+exact valuation of its sum from residues mod p^K, doubling K from
+E + MARGIN_WINDOW while the residue is 0.  A margin is None for checks
+with no scalar difference (multiset equality, counts).
 """
 
 from __future__ import annotations

@@ -166,21 +166,34 @@ class TestSweep:
         assert sweep.summary == {"total": 3, "held": 2, "failed": 0, "errored": 1}
         assert sweep.exit_code() == 2
 
-    def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch):
-        # k = 15 fails 2p | k, so both points error before they would read
-        # B_575; neither a serial nor a pooled sweep may grow the table for them
+    def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch, tmp_path):
+        # k = 15 fails 2p | k, so both case2 points error before they would
+        # read B_575; neither a serial nor a pooled sweep may grow a table
+        # for them.  The spy is set on the class, so forked pool workers
+        # inherit it and report their growth through a file.
+        log = tmp_path / "grow.log"
+        grow = BernoulliTable.grow
+
+        def spy(table, n):
+            if n >= len(table):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{n}\n")
+            grow(table, n)
+
+        monkeypatch.setattr(BernoulliTable, "grow", spy)
+        errored = {"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}
         for jobs in (1, 2):
-            table = BernoulliTable()
-            monkeypatch.setattr(bernoulli_module, "_TABLE", table)
-            cfg = SweepConfig.from_dict(
-                {
-                    "checks": [{"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}],
-                    "jobs": jobs,
-                }
-            )
-            sweep = run_sweep(cfg)
+            monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
+            sweep = run_sweep(SweepConfig.from_dict({"checks": [errored], "jobs": jobs}))
             assert sweep.summary["errored"] == 2
-            assert len(table) == 2, jobs
+            assert not log.exists(), jobs
+        # positive control: a pooled kummer point grows its worker's table
+        # to B_2 and B_6 while the parent's table stays as it was
+        kummer = {"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}
+        sweep = run_sweep(SweepConfig.from_dict({"checks": [errored, kummer], "jobs": 2}))
+        assert sweep.summary == {"total": 3, "held": 1, "failed": 0, "errored": 2}
+        assert log.read_text() == "2\n6\n"
+        assert len(bernoulli_module._TABLE) == 2
 
     def test_pool_starts_no_more_workers_than_points(self, monkeypatch):
         # a fork pool starts max_workers processes at once, however few points
@@ -235,6 +248,15 @@ class TestSweep:
             parallel.to_json_dict()
         )["reports"]
         assert serial.summary == parallel.summary
+
+    def test_heavy_sweep_config(self):
+        # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
+        # (11,2,2) and (7,2,2); the summary pins every verdict
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "heavy_sweep.json").read_text())
+        sweep = run_sweep(SweepConfig.from_dict(raw))
+        assert sweep.summary == {"total": 10, "held": 10, "failed": 0, "errored": 0}
+        assert [r.margin for r in sweep.reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
+        assert [r.details["sum_valuation"] for r in sweep.reports[-3:]] == [12, 14, 14]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):

@@ -8,6 +8,7 @@ from padlab.congruence_suite import (
     kummer_check,
     theorem2_check,
 )
+from padlab.padic_core import vp
 from padlab.params import ParameterSet, StrongParameterSet
 from padlab.powersum import power_sum_mod
 
@@ -45,13 +46,47 @@ class TestTheorem2:
             pM = sps.modulus().modulus
             shift = sps.p**sps.a * (sps.p - 1)
             sums = {
-                r: power_sum_mod(sps.p ** (sps.a + 1), (sps.k + shift * r) * sps.p**sps.t, pM)
+                r: power_sum_mod(sps.p ** (sps.a + 1), (sps.k + shift * r) * sps.p**sps.t, sps.p, sps.M)
                 for r in (0, 1, 2)
             }
             assert (sums[2] - 2 * sums[1] + sums[0]) % pM == 0
 
 
+def corollary2_exact(p, a, t, b, v):
+    # reference: the exact big-integer sum, as (lhs, margin, sum_valuation)
+    exponent = 3 * a + t + v + 2
+    inner = p ** (a + t) * (p - 1)
+    total = sum(n**b * (n**inner - 1) ** 2 for n in range(1, p ** (a + 1) + 1))
+    val = vp(total, p)
+    return str(total % p**exponent), val - exponent, val
+
+
+COROLLARY2_ORACLE_POINTS = [
+    (5, 0, 0, 1, 0),  # the b = 1 failure
+    *(
+        (p, a, t, p ** (a + t) * j, 0)
+        for p in (3, 5, 7)
+        for a in (0, 1)
+        for t in (0, 1, 2)
+        for j in range(1, 5)
+        if (p ** (a + t) * j) % (p - 1)
+    ),
+    (5, 0, 1, 125, 1),
+    (7, 1, 1, 7**2 * 2, 1),
+    # margin 9, past MARGIN_WINDOW: the residue mod p^(E+8) is 0
+    (3, 0, 9, 3**9, 0),
+    (3, 0, 9, 3**9 * 23, 0),
+]
+
+
 class TestCorollary2:
+    @pytest.mark.parametrize("point", COROLLARY2_ORACLE_POINTS, ids=str)
+    def test_matches_exact_sum(self, point):
+        lhs, margin, val = corollary2_exact(*point)
+        rep = corollary2_check(*point)
+        assert (rep.lhs, rep.margin, rep.details["sum_valuation"]) == (lhs, margin, val)
+        assert rep.holds == (margin >= 0)
+
     def test_holds_example(self):
         rep = corollary2_check(5, 0, 0, 6, 0)
         assert rep.holds and rep.lhs == "0"

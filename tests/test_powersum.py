@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padlab.bernoulli import bernoulli
@@ -21,26 +21,54 @@ def faulhaber(n_max, e):
     return total.numerator
 
 
+def direct_power_sum(n_max, e, p, M):
+    # the term-by-term loop the split kernel replaces
+    pM = p**M
+    return sum(pow(n, e, pM) for n in range(1, n_max + 1)) % pM
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    M = draw(st.integers(min_value=1, max_value=16))
+    e = draw(st.integers(min_value=0, max_value=10**12))
+    n_max = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=3000),
+            st.integers(min_value=0, max_value=7).map(lambda m: p**m).filter(lambda n: n <= 30000),
+            st.integers(min_value=-2, max_value=2).map(lambda d: max(p * M + d, 0)),
+        )
+    )
+    return n_max, e, p, M
+
+
 class TestPowerSumMod:
+    @settings(deadline=None)  # the direct loop runs up to 3e4 modular powers
+    @given(kernel_cases())
+    def test_split_matches_direct_loop(self, case):
+        # bounds up to p*M are the kernel's own direct loop; past it the
+        # p-block split recurses, so both sides of p*M are drawn
+        assert power_sum_mod(*case) == direct_power_sum(*case)
+
     def test_examples(self):
-        assert power_sum_mod(5, 14, 25) == 10
-        assert power_sum_mod(5, 0, 25) == 5
-        assert power_sum_mod(5, 2, 125) == 55
+        assert power_sum_mod(5, 14, 5, 2) == 10
+        assert power_sum_mod(5, 0, 5, 2) == 5
+        assert power_sum_mod(5, 2, 5, 3) == 55
 
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=50))
     def test_matches_exact_sum(self, n_max, e):
-        assert power_sum_mod(n_max, e, 7**3) == power_sum_exact(n_max, e) % 7**3
+        assert power_sum_mod(n_max, e, 7, 3) == power_sum_exact(n_max, e) % 7**3
 
     @pytest.mark.parametrize("n_max,e", [(10, 3), (49, 14), (120, 7), (30, 0)])
     def test_matches_faulhaber_oracle(self, n_max, e):
-        assert power_sum_mod(n_max, e, 11**4) == faulhaber(n_max, e) % 11**4
+        assert power_sum_mod(n_max, e, 11, 4) == faulhaber(n_max, e) % 11**4
 
     @given(st.integers(min_value=1, max_value=80), st.integers(min_value=0, max_value=30))
     def test_range_additivity(self, n, e):
         pM = 5**4
-        whole = power_sum_mod(2 * n, e, pM)
+        whole = power_sum_mod(2 * n, e, 5, 4)
         upper = sum(pow(x, e, pM) for x in range(n + 1, 2 * n + 1))
-        assert whole == (power_sum_mod(n, e, pM) + upper) % pM
+        assert whole == (power_sum_mod(n, e, 5, 4) + upper) % pM
 
 
 class TestLemma1:
