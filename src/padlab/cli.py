@@ -264,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{flag}", dest=param, type=int, required=param in spec.params)
 
     sp = sub.add_parser("stabilizer", help="stabilizer order and generator of S")
-    for flag in ("p", "a", "t", "k"):
+    for flag in _PS_FIELDS:
         sp.add_argument(f"--{flag}", type=int, required=True)
 
     sp = sub.add_parser("balance", help="test whether S is j-balanced")
-    for flag in ("p", "a", "t", "k", "j"):
+    for flag in (*_PS_FIELDS, "j"):
         sp.add_argument(f"--{flag}", type=int, required=True)
 
     sp = sub.add_parser("bernoulli", help="print B_n as numerator/denominator")
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if cmd in ("stabilizer", "balance"):
         try:
-            ps = ParameterSet(args.p, args.a, args.t, args.k)
+            ps = ParameterSet(*(getattr(args, f) for f in _PS_FIELDS))
             s = spectrum.build_S(ps)
             out = {"parameters": {k: str(v) for k, v in ps.as_dict().items()}}
             if cmd == "stabilizer":

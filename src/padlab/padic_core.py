@@ -1,15 +1,15 @@
 """Exact arithmetic modulo odd prime powers.
 
-A residue is a plain int in [0, p^M); PrimePowerModulus validates p^M and
-carries it.  Rationals are reduced mod p^M by inverting the denominator,
-and the cyclic structure of the unit group (Z/p^M)^* is exposed through
-primitive roots, element orders and roots of unity.  Everything is
-big-integer exact; there is no floating point anywhere.
+A residue is a plain int in [0, p^M), and a modulus is the pair of ints
+(p, M), with p an odd prime that the caller has checked.  Rationals are
+reduced mod p^M by inverting the denominator, and the cyclic unit group
+(Z/p^M)^*, of order p^(M-1)(p-1), is exposed through primitive roots,
+element orders and roots of unity.  Everything is big-integer exact;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -58,45 +58,30 @@ def vp_rational(q: Fraction, p: int) -> int:
     return vp(q.numerator, p) - vp(q.denominator, p)
 
 
-@dataclass(frozen=True)
-class PrimePowerModulus:
-    """The modulus p^exponent with p an odd prime, both carried explicitly."""
-
-    p: int
-    exponent: int
-    modulus: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"modulus base {self.p} is not an odd prime")
-        if self.exponent < 1:
-            raise ValueError(f"modulus exponent must be >= 1, got {self.exponent}")
-        object.__setattr__(self, "modulus", self.p**self.exponent)
-
-    def unit_group_order(self) -> int:
-        return self.p ** (self.exponent - 1) * (self.p - 1)
-
-    def unit_group_factors(self) -> dict[int, int]:
-        """unit_group_order() factorised, as {prime: exponent}."""
-        factors = factorize(self.p - 1)
-        if self.exponent > 1:
-            factors[self.p] = self.exponent - 1
-        return factors
-
-    def __str__(self):
-        return f"{self.p}^{self.exponent}"
+def unit_group_order(p: int, M: int) -> int:
+    """|(Z/p^M)^*| = p^(M-1)(p-1)."""
+    return p ** (M - 1) * (p - 1)
 
 
-def reduce_rational(q: Fraction | int, m: PrimePowerModulus) -> int:
+def unit_group_factors(p: int, M: int) -> dict[int, int]:
+    """unit_group_order(p, M) factorised, as {prime: exponent}."""
+    factors = factorize(p - 1)
+    if M > 1:
+        factors[p] = M - 1
+    return factors
+
+
+def reduce_rational(q: Fraction | int, p: int, M: int) -> int:
     """Reduce a p-integral rational mod p^M, into [0, p^M).
 
     Multiplying the result by the denominator recovers the numerator
     mod p^M.  Rationals with p in the denominator (after cancellation)
     are rejected.
     """
-    if q.denominator % m.p == 0:
-        raise ValueError(f"not p-integral: {q} has denominator divisible by {m.p}")
-    return q.numerator * pow(q.denominator, -1, m.modulus) % m.modulus
+    if q.denominator % p == 0:
+        raise ValueError(f"not p-integral: {q} has denominator divisible by {p}")
+    pM = p**M
+    return q.numerator * pow(q.denominator, -1, pM) % pM
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -125,34 +110,35 @@ def _primitive_root_mod_p(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def primitive_root(m: PrimePowerModulus) -> int:
+def primitive_root(p: int, M: int) -> int:
     """A generator of the cyclic unit group (Z/p^M)^*."""
-    g = _primitive_root_mod_p(m.p)
-    if m.exponent > 1 and pow(g, m.p - 1, m.p * m.p) == 1:
+    g = _primitive_root_mod_p(p)
+    if M > 1 and pow(g, p - 1, p * p) == 1:
         # g generates mod p but not mod p^2; g + p always does (p odd).
-        g += m.p
+        g += p
     return g
 
 
-def element_order(g: int, m: PrimePowerModulus) -> int:
+def element_order(g: int, p: int, M: int) -> int:
     """Multiplicative order of the unit g mod p^M, by stripping primes from the group order."""
-    if g % m.p == 0:
-        raise ValueError(f"non-invertible residue: {m.p} divides {g}")
-    order = m.unit_group_order()
-    for q in m.unit_group_factors():
-        while order % q == 0 and pow(g, order // q, m.modulus) == 1:
+    if g % p == 0:
+        raise ValueError(f"non-invertible residue: {p} divides {g}")
+    order = unit_group_order(p, M)
+    for q in unit_group_factors(p, M):
+        while order % q == 0 and pow(g, order // q, p**M) == 1:
             order //= q
     return order
 
 
-def roots_of_unity(dd: int, m: PrimePowerModulus) -> set[int]:
+def roots_of_unity(dd: int, p: int, M: int) -> set[int]:
     """All x mod p^M with x^dd = 1, for dd dividing p-1.
 
     These form the cyclic subgroup of order dd generated by
     h^(|group|/dd) for a primitive root h.
     """
-    if dd < 1 or (m.p - 1) % dd != 0:
-        raise ValueError(f"{dd} does not divide p-1 = {m.p - 1}")
-    h = primitive_root(m)
-    step = m.unit_group_order() // dd
-    return {pow(h, i * step, m.modulus) for i in range(dd)}
+    if dd < 1 or (p - 1) % dd != 0:
+        raise ValueError(f"{dd} does not divide p-1 = {p - 1}")
+    h = primitive_root(p, M)
+    step = unit_group_order(p, M) // dd
+    pM = p**M
+    return {pow(h, i * step, pM) for i in range(dd)}

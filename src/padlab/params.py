@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .padic_core import PrimePowerModulus, is_odd_prime, vp
+from .padic_core import is_odd_prime, vp
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class ParameterSet:
         object.__setattr__(self, "v", min(vk - 2 * self.a - 1, self.t))
         object.__setattr__(self, "M", 3 * self.a + self.t + self.v + 2)
         object.__setattr__(self, "kprime", self.k // self.p**vk)
-
-    def modulus(self) -> PrimePowerModulus:
-        return PrimePowerModulus(self.p, self.M)
 
     def as_dict(self) -> dict[str, int]:
         return {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic_core import PrimePowerModulus, reduce_rational, vp, vp_rational
+from .padic_core import reduce_rational, vp, vp_rational
 
 # How far beyond the required exponent modular checkers look when
 # measuring the margin.  Exact checkers are capped at the same value so
@@ -105,13 +105,12 @@ def congruence_report(
         if q.denominator % p == 0:
             raise ArithmeticError(f"{side} {q} is unexpectedly not a {p}-integer")
     margin = rational_margin(lhs - rhs, p, exponent)
-    m = PrimePowerModulus(p, exponent)
     return CheckReport(
         name=name,
         inputs=inputs,
         holds=margin >= 0,
-        lhs=str(reduce_rational(lhs, m)),
-        rhs=str(reduce_rational(rhs, m)),
+        lhs=str(reduce_rational(lhs, p, exponent)),
+        rhs=str(reduce_rational(rhs, p, exponent)),
         modulus=(p, exponent),
         margin=margin,
         details=details or {},

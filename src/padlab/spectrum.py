@@ -19,26 +19,27 @@ from math import gcd
 from typing import Mapping
 
 from .jet import derivative_mod
-from .padic_core import PrimePowerModulus, element_order, primitive_root, roots_of_unity
+from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
 from .params import ParameterSet, f_exponents
 from .report import CheckReport
 
 
 class ResidueMultiset:
-    """Map from invertible residue value to positive multiplicity."""
+    """Map from invertible residue value mod p^M to positive multiplicity."""
 
-    __slots__ = ("modulus", "counts")
+    __slots__ = ("p", "M", "counts")
 
-    def __init__(self, modulus: PrimePowerModulus, counts: Mapping[int, int]):
-        pM = modulus.modulus
+    def __init__(self, p: int, M: int, counts: Mapping[int, int]):
+        pM = p**M
         for key, c in counts.items():
             if not 0 <= key < pM:
-                raise ValueError(f"residue {key} out of range for modulus {modulus}")
-            if key % modulus.p == 0:
-                raise ValueError(f"residue {key} is not invertible mod {modulus}")
+                raise ValueError(f"residue {key} out of range for modulus {p}^{M}")
+            if key % p == 0:
+                raise ValueError(f"residue {key} is not invertible mod {p}^{M}")
             if c < 1:
                 raise ValueError(f"multiplicity of {key} must be positive, got {c}")
-        self.modulus = modulus
+        self.p = p
+        self.M = M
         self.counts = dict(counts)
 
     def total(self) -> int:
@@ -47,14 +48,14 @@ class ResidueMultiset:
     def __eq__(self, other):
         if not isinstance(other, ResidueMultiset):
             return NotImplemented
-        return self.modulus == other.modulus and self.counts == other.counts
+        return (self.p, self.M, self.counts) == (other.p, other.M, other.counts)
 
     def __len__(self):
         return len(self.counts)
 
     def __repr__(self):
         items = ", ".join(f"{k}:{c}" for k, c in sorted(self.counts.items()))
-        return f"ResidueMultiset(mod {self.modulus}, {{{items}}})"
+        return f"ResidueMultiset(mod {self.p}^{self.M}, {{{items}}})"
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,24 @@ class SubgroupDescriptor:
 
     order: int
     generator: int
-    modulus: PrimePowerModulus
+    p: int
+    M: int
 
     def __post_init__(self):
-        if element_order(self.generator, self.modulus) != self.order:
+        if element_order(self.generator, self.p, self.M) != self.order:
             raise ValueError(f"generator {self.generator} does not have order {self.order}")
 
 
 def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
     """The multiset of invertible values f(n) mod p^M over n in ns."""
-    m = ps.modulus()
     e_plus, e_minus = f_exponents(ps)
-    pM = m.modulus
+    pM = ps.p**ps.M
     counts: Counter[int] = Counter()
     for n in ns:
         val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
         if val % ps.p != 0:
             counts[val] += 1
-    return ResidueMultiset(m, counts)
+    return ResidueMultiset(ps.p, ps.M, counts)
 
 
 def build_S(ps: ParameterSet) -> ResidueMultiset:
@@ -101,16 +102,16 @@ def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
 
 def act(g: int, s: ResidueMultiset) -> ResidueMultiset:
     """The multiset {g*x : x in s}, multiplicities carried along."""
-    if g % s.modulus.p == 0:
-        raise ValueError(f"non-invertible residue: {s.modulus.p} divides {g}")
-    pM = s.modulus.modulus
-    return ResidueMultiset(s.modulus, {(g * k) % pM: c for k, c in s.counts.items()})
+    if g % s.p == 0:
+        raise ValueError(f"non-invertible residue: {s.p} divides {g}")
+    pM = s.p**s.M
+    return ResidueMultiset(s.p, s.M, {(g * k) % pM: c for k, c in s.counts.items()})
 
 
 def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
     # g*S and S have equal totals and g acts injectively, so checking the
     # counts of all images of the support decides multiset equality
-    pM = s.modulus.modulus
+    pM = s.p**s.M
     counts = s.counts
     for key, c in counts.items():
         if counts.get((gval * key) % pM, 0) != c:
@@ -121,7 +122,7 @@ def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
 def theorem1_check(ps: ParameterSet) -> CheckReport:
     """Check that every d-th root of unity g satisfies g*S = S."""
     s = build_S(ps)
-    roots = roots_of_unity(ps.d, ps.modulus())
+    roots = roots_of_unity(ps.d, ps.p, ps.M)
     failing = sorted(g for g in roots if not _stabilizes(g, s))
     dropped = ps.p ** (ps.a + 1) - s.total()
     return CheckReport(
@@ -143,12 +144,11 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
 
 def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckReport:
     """Check f(n') ≡ g*f(n) mod p^M for n' ≡ n*x' mod p^(a+1), x'^k' ≡ g mod p^(a+1)."""
-    m = ps.modulus()
-    pM = m.modulus
+    pM = ps.p**ps.M
     p_a1 = ps.p ** (ps.a + 1)
     g %= pM
     if pow(g, ps.d, pM) != 1:
-        raise ValueError(f"g = {g} is not a {ps.d}-th root of unity mod {m}")
+        raise ValueError(f"g = {g} is not a {ps.d}-th root of unity mod {ps.p}^{ps.M}")
     if pow(xprime, ps.kprime, p_a1) != g % p_a1:
         raise ValueError(
             f"x'^k' = {xprime}^{ps.kprime} is not ≡ g = {g} mod p^(a+1) = {p_a1}"
@@ -201,29 +201,17 @@ def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
     """
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
-    m = s.modulus
-    n0 = m.unit_group_order()
-    h = primitive_root(m)
+    p, M = s.p, s.M
+    pM = p**M
+    n0 = unit_group_order(p, M)
+    h = primitive_root(p, M)
     order = 1
-    for q, e in m.unit_group_factors().items():
+    for q, e in unit_group_factors(p, M).items():
         for j in range(1, e + 1):
-            if not _stabilizes(pow(h, n0 // q**j, m.modulus), s):
+            if not _stabilizes(pow(h, n0 // q**j, pM), s):
                 break
             order *= q
-    return SubgroupDescriptor(order, pow(h, n0 // order, m.modulus), m)
-
-
-def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
-    """Stabilizer by scanning every unit; the oracle for small moduli."""
-    if not s.counts:
-        raise ValueError("stabilizer of an empty multiset is undefined")
-    m = s.modulus
-    members = [u for u in range(1, m.modulus) if u % m.p != 0 and _stabilizes(u, s)]
-    order = len(members)
-    for u in members:
-        if element_order(u, m) == order:
-            return SubgroupDescriptor(order, u, m)
-    raise AssertionError("stabilizer scan found no generator")  # not cyclic: impossible
+    return SubgroupDescriptor(order, pow(h, n0 // order, pM), p, M)
 
 
 def theorem3_check(ps: ParameterSet) -> CheckReport:
@@ -231,7 +219,7 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
     s = build_S(ps)
     sub = stabilizer(s)
     expected = ps.d * ps.p**ps.a if ps.v < ps.t else ps.d
-    is_root_group = pow(sub.generator, expected, ps.modulus().modulus) == 1
+    is_root_group = pow(sub.generator, expected, ps.p**ps.M) == 1
     return CheckReport(
         name="theorem3",
         inputs=ps.as_dict(),
@@ -253,17 +241,16 @@ def j_balanced(s: ResidueMultiset, j: int) -> bool:
     For each member, all p^j lifts of its reduction mod p^(M-j) must occur
     with the same multiplicity.
     """
-    m = s.modulus
-    if not 1 <= j < m.exponent:
-        raise ValueError(f"j must satisfy 1 <= j < M = {m.exponent}, got {j}")
-    base_mod = m.p ** (m.exponent - j)
+    if not 1 <= j < s.M:
+        raise ValueError(f"j must satisfy 1 <= j < M = {s.M}, got {j}")
+    base_mod = s.p ** (s.M - j)
     seen: set[int] = set()
     for key in s.counts:
         base = key % base_mod
         if base in seen:
             continue
         seen.add(base)
-        fiber = {s.counts.get(base + i * base_mod, 0) for i in range(m.p**j)}
+        fiber = {s.counts.get(base + i * base_mod, 0) for i in range(s.p**j)}
         if len(fiber) != 1:
             return False
     return True

@@ -25,10 +25,12 @@ from padlab.bernoulli import prewarm, von_staudt_clausen_check
 from padlab.cli import canonical_body, main
 from padlab.congruence_suite import corollary2_check, kummer_check, theorem2_check
 from padlab.jet import corollary3_check, lemma4_check, lemma5_count
-from padlab.padic_core import vp
+from padlab.padic_core import unit_group_order, vp
 from padlab.params import ParameterSet
 from padlab.powersum import lemma1_check, lemma2_check
-from padlab.spectrum import build_S, stabilizer, stabilizer_brute_force, theorem1_check, theorem3_check
+from padlab.spectrum import build_S, stabilizer, theorem1_check, theorem3_check
+
+from oracles import stabilizer_brute_force
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "acceptance_sweep.json"
 
@@ -99,7 +101,7 @@ def test_criterion_2_theorem3_suite():
         rep = theorem3_check(ps)
         if not rep.holds:
             failures.append(("order", ps.as_dict(), rep.lhs, rep.rhs))
-        group_order = ps.modulus().unit_group_order()
+        group_order = unit_group_order(ps.p, ps.M)
         assert group_order <= 10**6  # entire grid is within oracle reach
         s = build_S(ps)
         if stabilizer(s).order != stabilizer_brute_force(s).order:

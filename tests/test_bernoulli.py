@@ -12,7 +12,7 @@ from padlab.bernoulli import (
     bernoulli,
     von_staudt_clausen_check,
 )
-from padlab.padic_core import PrimePowerModulus, is_prime, primitive_root, reduce_rational
+from padlab.padic_core import is_prime, primitive_root, reduce_rational
 
 
 def akiyama_tanigawa(n_max):
@@ -101,8 +101,7 @@ class TestTable:
         # (g^n - 1) B_n/n == g^(n-1) sum_{x<N} x^(n-1) floor(xg/N)  (mod N = p^m),
         # for even n with (p-1) ∤ n; g a primitive root mod N pins B_n/n mod N
         for m in range(1, 5):
-            modulus = PrimePowerModulus(p, m)
-            big_n, g = p**m, primitive_root(modulus)
+            big_n, g = p**m, primitive_root(p, m)
             sums = [0] * 99  # sums[n // 2 - 1] for even 2 <= n < 200
             for x in range(1, big_n):
                 w, x2 = x * (x * g // big_n) % big_n, x * x % big_n
@@ -113,7 +112,7 @@ class TestTable:
                 n
                 for n in range(2, 200, 2)
                 if n % (p - 1)
-                and reduce_rational((pow(g, n, big_n) - 1) * bernoulli(n) / n, modulus)
+                and reduce_rational((pow(g, n, big_n) - 1) * bernoulli(n) / n, p, m)
                 != pow(g, n - 1, big_n) * sums[n // 2 - 1] % big_n
             ]
             assert mismatches == [], (p, m)
@@ -167,9 +166,9 @@ class TestAdams:
 
     def test_quotient_residues(self):
         # B_6/6 = 1/252 and B_2/2 = 1/12; B_26/26 ≡ B_6/6 mod 25 by Kummer (26 ≡ 6 mod 20)
-        assert reduce_rational(bernoulli(6) / 6, PrimePowerModulus(5, 2)) == 13
-        assert reduce_rational(bernoulli(26) / 26, PrimePowerModulus(5, 2)) == 13
-        assert reduce_rational(bernoulli(2) / 2, PrimePowerModulus(5, 1)) == 3
+        assert reduce_rational(bernoulli(6) / 6, 5, 2) == 13
+        assert reduce_rational(bernoulli(26) / 26, 5, 2) == 13
+        assert reduce_rational(bernoulli(2) / 2, 5, 1) == 3
 
     def test_grid(self):
         # p-integrality of B_r/r across the stated desk-scale grid

@@ -238,8 +238,16 @@ class TestSweep:
             canonical_body(two), sort_keys=True
         )
 
-    def test_parallel_matches_serial(self):
-        cfg = {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]}
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]},
+            json.loads((Path(__file__).resolve().parents[1] / "configs" / "acceptance_sweep.json").read_text()),
+        ],
+        ids=["kummer-grid", "acceptance-sweep"],
+    )
+    def test_parallel_matches_serial(self, cfg):
+        # config.jobs is echoed into the canon, so only reports and summary compare
         serial = run_sweep(SweepConfig.from_dict(cfg))
         parallel_cfg = SweepConfig.from_dict(cfg)
         parallel_cfg.jobs = 2

@@ -43,7 +43,7 @@ class TestTheorem2:
     def test_second_difference_vanishes(self):
         # S(r+1) - 2 S(r) + S(r-1) ≡ 0 mod p^M, the quadratic-factor form
         for sps in (SPS, StrongParameterSet(5, 0, 1, 10), StrongParameterSet(7, 0, 0, 14)):
-            pM = sps.modulus().modulus
+            pM = sps.p**sps.M
             shift = sps.p**sps.a * (sps.p - 1)
             sums = {
                 r: power_sum_mod(sps.p ** (sps.a + 1), (sps.k + shift * r) * sps.p**sps.t, sps.p, sps.M)
@@ -232,9 +232,8 @@ class TestKummer:
         rep = kummer_check(5, 1, 2, 22)
         assert rep.holds
         from padlab.bernoulli import bernoulli
-        from padlab.padic_core import PrimePowerModulus, reduce_rational
+        from padlab.padic_core import reduce_rational
 
-        m = PrimePowerModulus(5, 2)
-        bare_lhs = reduce_rational(bernoulli(2) / 2, m)
-        bare_rhs = reduce_rational(bernoulli(22) / 22, m)
+        bare_lhs = reduce_rational(bernoulli(2) / 2, 5, 2)
+        bare_rhs = reduce_rational(bernoulli(22) / 22, 5, 2)
         assert bare_lhs != bare_rhs  # uncorrected sides disagree mod 25

@@ -5,13 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padlab.padic_core import (
-    PrimePowerModulus,
     element_order,
     factorize,
     is_odd_prime,
     primitive_root,
     reduce_rational,
     roots_of_unity,
+    unit_group_factors,
+    unit_group_order,
     vp,
     vp_rational,
 )
@@ -34,9 +35,9 @@ def naive_order(value, modulus):
     return e
 
 
-M25 = PrimePowerModulus(5, 2)
-M5 = PrimePowerModulus(5, 1)
-M125 = PrimePowerModulus(5, 3)
+M25 = (5, 2)
+M5 = (5, 1)
+M125 = (5, 3)
 
 
 class TestValuation:
@@ -65,18 +66,6 @@ class TestValuation:
 
 
 class TestModulus:
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError, match="not an odd prime"):
-            PrimePowerModulus(15, 2)
-
-    def test_rejects_two(self):
-        with pytest.raises(ValueError, match="not an odd prime"):
-            PrimePowerModulus(2, 4)
-
-    def test_rejects_zero_exponent(self):
-        with pytest.raises(ValueError, match="exponent"):
-            PrimePowerModulus(5, 0)
-
     def test_is_odd_prime(self):
         assert is_odd_prime(3) and is_odd_prime(999983)
         assert not is_odd_prime(2) and not is_odd_prime(1) and not is_odd_prime(9)
@@ -84,25 +73,25 @@ class TestModulus:
 
 class TestReduceRational:
     def test_examples(self):
-        assert reduce_rational(Fraction(1, 6), M25) == 21
-        assert reduce_rational(Fraction(1, 252), M25) == 13
-        assert reduce_rational(Fraction(0), M125) == 0
-        assert reduce_rational(Fraction(-1), M25) == 24
-        assert reduce_rational(26, M25) == 1
+        assert reduce_rational(Fraction(1, 6), *M25) == 21
+        assert reduce_rational(Fraction(1, 252), *M25) == 13
+        assert reduce_rational(Fraction(0), *M125) == 0
+        assert reduce_rational(Fraction(-1), *M25) == 24
+        assert reduce_rational(26, *M25) == 1
 
     def test_not_p_integral(self):
         with pytest.raises(ValueError, match="not p-integral"):
-            reduce_rational(Fraction(1, 10), M25)
+            reduce_rational(Fraction(1, 10), *M25)
 
     def test_matches_extgcd_oracle(self):
         for num, den in [(1, 6), (7, 9), (-3, 11), (22, 7)]:
-            got = reduce_rational(Fraction(num, den), M25)
+            got = reduce_rational(Fraction(num, den), *M25)
             _, inv, _ = extgcd(den % 25, 25)
             assert got == num * inv % 25
 
     def test_recovers_numerator(self):
         q = Fraction(7, 66)
-        r = reduce_rational(q, M125)
+        r = reduce_rational(q, *M125)
         assert 0 <= r < 125 and r * 66 % 125 == 7 % 125
 
     @given(
@@ -114,58 +103,58 @@ class TestReduceRational:
             return
         if (q + r).denominator % 5 == 0:
             return
-        left = reduce_rational(q + r, M125)
-        right = (reduce_rational(q, M125) + reduce_rational(r, M125)) % 125
+        left = reduce_rational(q + r, *M125)
+        right = (reduce_rational(q, *M125) + reduce_rational(r, *M125)) % 125
         assert left == right
 
 
 class TestElementOrder:
     def test_examples(self):
-        assert element_order(24, M25) == 2
-        assert element_order(1, M125) == 1
-        assert element_order(7, M25) == 4
+        assert element_order(24, *M25) == 2
+        assert element_order(1, *M125) == 1
+        assert element_order(7, *M25) == 4
 
     def test_non_invertible(self):
         with pytest.raises(ValueError, match="non-invertible"):
-            element_order(10, M25)
+            element_order(10, *M25)
 
-    @pytest.mark.parametrize("m", [M25, M125, PrimePowerModulus(7, 2), PrimePowerModulus(11, 1)])
+    @pytest.mark.parametrize("m", [M25, M125, (7, 2), (11, 1)])
     def test_matches_naive_order(self, m):
-        for value in range(1, m.modulus):
-            if value % m.p == 0:
+        p, M = m
+        for value in range(1, p**M):
+            if value % p == 0:
                 continue
-            assert element_order(value, m) == naive_order(value, m.modulus)
+            assert element_order(value, p, M) == naive_order(value, p**M)
 
     @given(st.integers(min_value=1, max_value=2400))
     def test_divides_group_order(self, x):
-        m = PrimePowerModulus(7, 4)
         if x % 7 == 0:
             return
-        assert m.unit_group_order() % element_order(x, m) == 0
+        assert unit_group_order(7, 4) % element_order(x, 7, 4) == 0
 
 
 class TestRootsOfUnity:
     def test_examples(self):
-        assert roots_of_unity(2, M25) == {1, 24}
-        assert roots_of_unity(1, M125) == {1}
-        assert roots_of_unity(4, M5) == {1, 2, 3, 4}
+        assert roots_of_unity(2, *M25) == {1, 24}
+        assert roots_of_unity(1, *M125) == {1}
+        assert roots_of_unity(4, *M5) == {1, 2, 3, 4}
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError, match="does not divide"):
-            roots_of_unity(3, M25)
+            roots_of_unity(3, *M25)
 
-    @pytest.mark.parametrize("dd,m", [(2, M125), (4, M125), (3, PrimePowerModulus(7, 3)), (6, PrimePowerModulus(7, 2))])
+    @pytest.mark.parametrize("dd,m", [(2, M125), (4, M125), (3, (7, 3)), (6, (7, 2))])
     def test_matches_exhaustive_search(self, dd, m):
-        got = roots_of_unity(dd, m)
-        want = {x for x in range(1, m.modulus) if x % m.p and pow(x, dd, m.modulus) == 1}
+        p, M = m
+        got = roots_of_unity(dd, p, M)
+        want = {x for x in range(1, p**M) if x % p and pow(x, dd, p**M) == 1}
         assert got == want
 
     @pytest.mark.parametrize("dd", [1, 2, 3, 6])
     def test_cardinality_orders_and_injective_reduction(self, dd):
-        m = PrimePowerModulus(7, 3)
-        roots = roots_of_unity(dd, m)
+        roots = roots_of_unity(dd, 7, 3)
         assert len(roots) == dd
-        assert all(element_order(r, m) in [d for d in range(1, dd + 1) if dd % d == 0] for r in roots)
+        assert all(element_order(r, 7, 3) in [d for d in range(1, dd + 1) if dd % d == 0] for r in roots)
         assert len({r % 7 for r in roots}) == dd
 
 
@@ -179,14 +168,14 @@ class TestFactorize:
             assert acc == n
 
     def test_primitive_root_generates(self):
-        for m in (M25, M125, PrimePowerModulus(7, 2)):
-            g = primitive_root(m)
-            assert element_order(g, m) == m.unit_group_order()
+        for m in (M25, M125, (7, 2)):
+            g = primitive_root(*m)
+            assert element_order(g, *m) == unit_group_order(*m)
 
-    @pytest.mark.parametrize("m", [M5, M125, PrimePowerModulus(7, 3), PrimePowerModulus(13, 2)])
+    @pytest.mark.parametrize("m", [M5, M125, (7, 3), (13, 2)])
     def test_unit_group_factors(self, m):
         acc = 1
-        for q, e in m.unit_group_factors().items():
+        for q, e in unit_group_factors(*m).items():
             assert factorize(q) == {q: 1}
             acc *= q**e
-        assert acc == m.unit_group_order()
+        assert acc == unit_group_order(*m)
