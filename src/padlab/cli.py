@@ -4,15 +4,18 @@ Every checker is registered by name with its module and function; the
 function's signature is the only statement of its parameters, a leading
 `ps` standing for p, a, t, k.  The CLI subcommands and the sweep-grid
 keys are derived from it.  run_check dispatches a flat {param: int}
-record and turns math-level ValueErrors into errored reports (unknown
-names or parameters raise instead).  It is also the one place a check is
-timed: the checkers are pure, and run_check stamps the wall-clock
-elapsed_ms on every report it returns, errored ones included.
-run_sweep expands each check's grid as a Cartesian product in sorted
-parameter order, so report order is deterministic regardless of the
-parallelism degree.  A pool never has more workers than points.  Serial
-or pooled, each process grows its own Bernoulli table lazily, only as
-far as the points it runs read.
+record and turns math-level ValueErrors and ArithmeticErrors, as well as
+RecursionErrors and MemoryErrors, into errored reports (unknown names or
+parameters raise instead), so one bad point cannot abort a sweep.  It is
+also the one place a check is timed: the checkers are pure, and run_check
+stamps the wall-clock elapsed_ms on every report it returns, errored ones
+included.  run_sweep expands each check's grid as a Cartesian product in
+sorted parameter order, so report order is deterministic regardless of
+the parallelism degree.  A pool never has more workers than points, and
+it sends them chunks of max(1, len(points) // (8 * workers)) points, so
+IPC is paid per chunk, not per point.  Serial or pooled, each process
+grows its own Bernoulli table lazily, only as far as the points it runs
+read.
 
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
@@ -102,7 +105,7 @@ def run_check(name: str, args: dict) -> CheckReport:
     t0 = time.perf_counter_ns()
     try:
         report = checker.run(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
         report = CheckReport(name=name, inputs=dict(args), holds=False, error=str(exc))
     report.elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
     return report
@@ -220,7 +223,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_point, points))
+            chunk = max(1, len(points) // (8 * workers))
+            reports = list(pool.map(_run_point, points, chunksize=chunk))
     else:
         reports = [_run_point(pt) for pt in points]
     raw_config = {"checks": config.checks, "jobs": config.jobs}
@@ -228,13 +232,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 
 def canonical_body(report_dict: dict) -> dict:
-    """The comparison canon for determinism: drop elapsed timing fields."""
+    """The comparison canon for determinism: drop the elapsed_ms timing
+    fields and a sweep's echoed config.jobs, so serial and pooled runs of
+    one config agree."""
     if isinstance(report_dict, dict):
-        return {
-            k: canonical_body(v)
-            for k, v in report_dict.items()
-            if k not in ("elapsed_ms",)
-        }
+        body = {k: canonical_body(v) for k, v in report_dict.items() if k != "elapsed_ms"}
+        if isinstance(body.get("config"), dict):
+            body["config"].pop("jobs", None)
+        return body
     if isinstance(report_dict, list):
         return [canonical_body(v) for v in report_dict]
     return report_dict
@@ -332,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
             print(_dump({"error": str(exc)}), file=sys.stderr)
             return 2
         sweep = run_sweep(config)
-        body = _dump(sweep.to_json_dict()) + "\n"
+        # the C encoder: indent=2 would force the pure-Python one
+        body = json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n"
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)

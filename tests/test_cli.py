@@ -26,6 +26,7 @@ from padlab.cli import (
     run_check,
     run_sweep,
 )
+from test_reference_digests import _load_workloads
 
 
 # one valid, holding point per registered checker
@@ -146,6 +147,16 @@ KUMMER_GRID = {
         {"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6, 26, 46]}}
     ]
 }
+# 40 holding points: a jobs-2 pool sends them in chunks of 40 // 16 = 2
+VSC_40 = {"name": "von_staudt_clausen", "grid": {"n": list(range(2, 82, 2))}}
+ROOT = Path(__file__).resolve().parents[1]
+SWEEP_CONFIGS = {
+    "kummer-grid": lambda: {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]},
+    "acceptance-sweep": lambda: json.loads((ROOT / "configs" / "acceptance_sweep.json").read_text()),
+    "heavy-sweep": lambda: json.loads((ROOT / "configs" / "heavy_sweep.json").read_text()),
+    # the benchmark's region-map config: 10488 points from all 17 checkers
+    "region-map-seed-7": lambda: _load_workloads().WORKLOADS["region-map"].config(7),
+}
 
 
 class TestSweep:
@@ -238,24 +249,58 @@ class TestSweep:
             canonical_body(two), sort_keys=True
         )
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]},
-            json.loads((Path(__file__).resolve().parents[1] / "configs" / "acceptance_sweep.json").read_text()),
-        ],
-        ids=["kummer-grid", "acceptance-sweep"],
-    )
-    def test_parallel_matches_serial(self, cfg):
-        # config.jobs is echoed into the canon, so only reports and summary compare
-        serial = run_sweep(SweepConfig.from_dict(cfg))
-        parallel_cfg = SweepConfig.from_dict(cfg)
-        parallel_cfg.jobs = 2
-        parallel = run_sweep(parallel_cfg)
-        assert canonical_body(serial.to_json_dict())["reports"] == canonical_body(
-            parallel.to_json_dict()
-        )["reports"]
-        assert serial.summary == parallel.summary
+    @pytest.mark.parametrize("name", SWEEP_CONFIGS)
+    def test_parallel_matches_serial(self, name):
+        cfg = SWEEP_CONFIGS[name]()
+        serial, pooled = SweepConfig.from_dict(cfg), SweepConfig.from_dict(cfg)
+        serial.jobs, pooled.jobs = 1, 2
+        body = canonical_body(run_sweep(serial).to_json_dict())
+        assert body == canonical_body(run_sweep(pooled).to_json_dict())
+        if name == "region-map-seed-7":
+            # chunks of 10488 // 16 = 655 points
+            assert body["summary"]["total"] == 10488
+
+    def test_pool_map_is_chunked(self, monkeypatch):
+        # one IPC round trip per chunk of max(1, points // (8 * workers)) points
+        chunksizes = []
+        pool_map = ProcessPoolExecutor.map
+
+        def spy(pool, fn, *iterables, **kwargs):
+            chunksizes.append(kwargs.get("chunksize", 1))
+            return pool_map(pool, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        sweep = run_sweep(SweepConfig.from_dict({"checks": [VSC_40], "jobs": 2}))
+        assert sweep.summary["held"] == 40
+        sweep = run_sweep(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 2}))
+        assert sweep.summary["held"] == 3
+        assert chunksizes == [2, 1]
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resource_error_becomes_errored_report(self, monkeypatch, exc, jobs):
+        # one point of a 40-point grid raises; it becomes an errored report
+        # and the rest of its pool chunk survives.  Forked workers inherit
+        # the patched module attribute.
+        failing = {"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2]}}
+        configs = [({"checks": [VSC_40], "jobs": jobs}, 2), ({"checks": [VSC_40, failing], "jobs": jobs}, 1)]
+        expected = [canonical_body(run_sweep(SweepConfig.from_dict(cfg)).to_json_dict()) for cfg, _ in configs]
+        original = bernoulli_module.von_staudt_clausen_check
+
+        def raising(n):
+            if n == 40:
+                raise exc("injected at n = 40")
+            return original(n)
+
+        monkeypatch.setattr(bernoulli_module, "von_staudt_clausen_check", raising)
+        for (cfg, code), clean in zip(configs, expected):
+            sweep = run_sweep(SweepConfig.from_dict(cfg))
+            reports = canonical_body(sweep.to_json_dict())["reports"]
+            errored = [i for i, r in enumerate(reports) if r["error"] is not None]
+            assert errored == [19]
+            assert reports[19]["error"] == "injected at n = 40" and reports[19]["holds"] is False
+            assert reports[:19] + reports[20:] == clean["reports"][:19] + clean["reports"][20:]
+            assert sweep.exit_code() == code
 
     def test_heavy_sweep_config(self):
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
