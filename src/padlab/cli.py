@@ -17,6 +17,11 @@ IPC is paid per chunk, not per point.  Serial or pooled, each process
 grows its own Bernoulli table lazily, only as far as the points it runs
 read.
 
+main is the one input boundary: outside input (flags, the config file,
+the --out path) that is unreadable, over-nested or invalid reaches its
+one handler, which prints a JSON error to stderr and exits 2.  Checker
+errors never get there: run_check has made them errored reports.
+
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
 """
@@ -58,6 +63,7 @@ class CheckerSpec:
         self.ps_first = required[:1] == ["ps"]
         self.params = (*_PS_FIELDS, *required[1:]) if self.ps_first else tuple(required)
         self.optional = tuple(q.name for q in sig if q.default is not q.empty)
+        self.allowed = {*self.params, *self.optional}
 
     def run(self, args: dict) -> CheckReport:
         # looked up per call, so a rebound module attribute (a tracer's
@@ -95,8 +101,7 @@ def run_check(name: str, args: dict) -> CheckReport:
     checker = REGISTRY.get(name)
     if checker is None:
         raise ValueError(f"unknown checker name: {name!r}")
-    allowed = set(checker.params) | set(checker.optional)
-    unknown = set(args) - allowed
+    unknown = set(args) - checker.allowed
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
     missing = set(checker.params) - set(args)
@@ -143,9 +148,8 @@ class SweepConfig:
             grid = entry.get("grid")
             if not isinstance(grid, dict) or not grid:
                 raise ValueError(f"check {name!r} needs a nonempty 'grid' object")
-            allowed = set(checker.params) | set(checker.optional)
             for key, values in grid.items():
-                if key not in allowed:
+                if key not in checker.allowed:
                     raise ValueError(f"{key!r} is not a parameter of {name!r}")
                 if not isinstance(values, list) or not values:
                     raise ValueError(f"grid entry {name}.{key} must be a nonempty list")
@@ -157,9 +161,10 @@ class SweepConfig:
         return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
 
 
-def _exit_code(failed: int, errored: int) -> int:
-    """The exit code of a run with these counts of failed and errored points."""
-    return 1 if failed else 2 if errored else 0
+def _exit_code(reports: list[CheckReport]) -> int:
+    """1 if any report failed, else 2 if any errored, else 0."""
+    statuses = {r.status for r in reports}
+    return 1 if "failed" in statuses else 2 if "errored" in statuses else 0
 
 
 def _is_int(value) -> bool:
@@ -179,18 +184,12 @@ class SweepReport:
     summary: dict = field(init=False)
 
     def __post_init__(self):
-        errored = sum(1 for r in self.reports if r.error is not None)
-        held = sum(1 for r in self.reports if r.error is None and r.holds)
-        failed = len(self.reports) - held - errored
-        self.summary = {
-            "total": len(self.reports),
-            "held": held,
-            "failed": failed,
-            "errored": errored,
-        }
+        statuses = [r.status for r in self.reports]
+        counts = {s: statuses.count(s) for s in ("held", "failed", "errored")}
+        self.summary = {"total": len(statuses), **counts}
 
     def exit_code(self) -> int:
-        return _exit_code(self.summary["failed"], self.summary["errored"])
+        return _exit_code(self.reports)
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,19 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = args.command
+    try:
+        args = build_parser().parse_args(argv)
+        cmd = args.command
 
-    spec = REGISTRY.get(cmd)
-    if spec is not None:
-        record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
-        report = run_check(cmd, record)
-        print(_dump(report.to_json_dict()))
-        failed = report.error is None and not report.holds
-        return _exit_code(failed, report.error is not None)
+        if cmd in REGISTRY:
+            record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+            report = run_check(cmd, record)
+            print(_dump(report.to_json_dict()))
+            return _exit_code([report])
 
-    if cmd in ("stabilizer", "balance"):
-        try:
+        if cmd in ("stabilizer", "balance"):
             ps = ParameterSet(*(getattr(args, f) for f in _PS_FIELDS))
             s = spectrum.build_S(ps)
             out = {"parameters": {k: str(v) for k, v in ps.as_dict().items()}}
@@ -314,39 +311,27 @@ def main(argv: list[str] | None = None) -> int:
                 out["balanced"] = spectrum.j_balanced(s, args.j)
             print(_dump(out))
             return 0
-        except ValueError as exc:
-            print(_dump({"error": str(exc)}), file=sys.stderr)
-            return 2
 
-    if cmd == "bernoulli":
-        if args.n < 0:
-            print(_dump({"error": "n must be nonnegative"}), file=sys.stderr)
-            return 2
-        value = bernoulli.bernoulli(args.n)
-        print(f"{value.numerator}/{value.denominator}")
-        return 0
+        if cmd == "bernoulli":
+            value = bernoulli.bernoulli(args.n)
+            print(f"{value.numerator}/{value.denominator}")
+            return 0
 
-    if cmd == "sweep":
-        try:
+        if cmd == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            config = SweepConfig.from_dict(raw)
+                config = SweepConfig.from_dict(json.load(fh))
             if args.jobs is not None:
                 config.jobs = _jobs(args.jobs)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(_dump({"error": str(exc)}), file=sys.stderr)
-            return 2
-        sweep = run_sweep(config)
-        # the C encoder: indent=2 would force the pure-Python one
-        body = json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n"
-        try:
+            # opened before the grid runs, so an unwritable path costs no checks
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        except OSError as exc:
-            print(_dump({"error": str(exc)}), file=sys.stderr)
-            return 2
-        print(_dump({"out": args.out, "summary": sweep.summary}))
-        return sweep.exit_code()
+                sweep = run_sweep(config)
+                # the C encoder: indent=2 would force the pure-Python one
+                fh.write(json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n")
+            print(_dump({"out": args.out, "summary": sweep.summary}))
+            return sweep.exit_code()
+    except (OSError, ValueError, RecursionError) as exc:
+        print(_dump({"error": str(exc)}), file=sys.stderr)
+        return 2
 
     raise AssertionError(f"unhandled command {cmd!r}")
 

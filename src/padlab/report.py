@@ -37,6 +37,11 @@ class CheckReport:
     error: str | None = None
     details: dict = field(default_factory=dict)
 
+    @property
+    def status(self) -> str:
+        """"errored" if the check raised, else "held" or "failed" by its verdict."""
+        return "errored" if self.error is not None else "held" if self.holds else "failed"
+
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

@@ -425,6 +425,30 @@ class TestMain:
         assert json.loads(capsys.readouterr().err)["error"]
         assert not out_path.exists()
 
+    def test_sweep_unwritable_out_runs_no_checks(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(KUMMER_GRID))
+        calls = []
+        monkeypatch.setattr("padlab.cli.run_check", lambda *a: calls.append(a) or run_check(*a))
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "missing" / "o.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "stabilizer --p 4 --a 0 --t 0 --k 4",
+            "balance --p 5 --a 1 --t 1 --k 125 --j 0",
+            "bernoulli --n -1",
+        ],
+    )
+    def test_non_checker_command_invalid_exits_2(self, capsys, argv):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"]
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -474,3 +498,19 @@ def test_cli_import_is_lean():
     src = str(Path(padlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_over_nested_config_exits_2(tmp_path):
+    # json.load raises RecursionError on this; the real process exit code
+    # is pinned, so the error cannot escape main as a traceback (exit 1)
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000)
+    out_path = tmp_path / "o.json"
+    src = str(Path(padlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "padlab.cli", "sweep", "--config", str(cfg), "--out", str(out_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]
+    assert not out_path.exists()
