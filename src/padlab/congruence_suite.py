@@ -11,7 +11,8 @@ case1/case2/case3: the three Bernoulli reduction steps
     sum n^((k+p^a(p-1))p^t) ≡ p * sum n^((k+p^a(p-1))p^(t-1)) mod p^(3a+t+2)
 kummer_check: the Euler-factor-corrected congruence
     (1-p^(r-1)) B_r/r ≡ (1-p^(s-1)) B_s/s                    mod p^(a+1)
-for even r ≡ s mod p^a(p-1) with (p-1) ∤ r.
+for even r ≡ s mod p^a(p-1) with (p-1) ∤ r.  theorem2 and case2/3 first
+test the sharper 2p^(2a+1) | k and (p-1) ∤ k with ParameterSet.check_strong.
 
 Bernoulli comparisons are exact rational arithmetic; power-sum
 comparisons take powersum.power_sum_mod mod p^(M + MARGIN_WINDOW).  Both
@@ -26,19 +27,14 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime_gt3, vp
-from .params import ParameterSet, StrongParameterSet
+from .params import ParameterSet
 from .powersum import power_sum_mod
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
-def _strong(ps: ParameterSet) -> StrongParameterSet:
-    """ps with the hypotheses 2p^(2a+1) | k and (p-1) ∤ k checked."""
-    return ps if isinstance(ps, StrongParameterSet) else StrongParameterSet(ps.p, ps.a, ps.t, ps.k)
-
-
 def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
     """Check the linearity of sum n^((k+p^a(p-1)r)p^t) in r, mod p^M."""
-    ps = _strong(ps)
+    ps.check_strong()
     shift = ps.p**ps.a * (ps.p - 1)
     if ps.k + shift * r <= 0:
         raise ValueError(f"k + p^a(p-1)r = {ps.k + shift * r} must be positive")
@@ -72,9 +68,7 @@ def corollary2_check(p: int, a: int, t: int, b: int, v: int | None = None) -> Ch
     if b % (p - 1) == 0:
         raise ValueError(f"(p-1) = {p - 1} must not divide b = {b}")
     if v is None:
-        c = b // p**t
-        vc = vp(c, p)
-        v = min(vc - 2 * a - 1, t) if vc >= 2 * a + 1 else 0
+        v = max(0, min(vp(b, p) - t - 2 * a - 1, t))
     if not 0 <= v <= t:
         raise ValueError(f"v must satisfy 0 <= v <= t = {t}, got {v}")
 
@@ -139,15 +133,13 @@ def case1_step_check(p: int, a: int, r: int) -> CheckReport:
 def case2_check(ps: ParameterSet, b: int) -> CheckReport:
     """Check (k+p^a(p-1)) B_{(k+b p^a(p-1))p^t} ≡ (k+b p^a(p-1)) B_{(k+p^a(p-1))p^t}
     mod p^(3a+t+1)."""
-    ps = _strong(ps)
+    ps.check_strong()
     shift = ps.p**ps.a * (ps.p - 1)
     index_b = (ps.k + b * shift) * ps.p**ps.t
     index_1 = (ps.k + shift) * ps.p**ps.t
-    for idx in (index_b, index_1):
-        if idx < 2 or idx % 2 != 0:
-            raise ValueError(f"Bernoulli index {idx} must be even and positive")
-        if idx % (ps.p - 1) == 0:
-            raise ValueError(f"(p-1) = {ps.p - 1} must not divide index {idx}")
+    # check_strong makes both indices even and ≡ k ≢ 0 mod p-1, and index_1 > 0
+    if index_b < 2:
+        raise ValueError(f"Bernoulli index {index_b} must be even and positive")
 
     exponent = 3 * ps.a + ps.t + 1
     lhs_q = (ps.k + shift) * bernoulli(index_b)
@@ -160,7 +152,7 @@ def case2_check(ps: ParameterSet, b: int) -> CheckReport:
 
 def case3_branch_check(ps: ParameterSet) -> CheckReport:
     """Check sum n^((k+p^a(p-1))p^t) ≡ p * sum n^((k+p^a(p-1))p^(t-1)) mod p^(3a+t+2)."""
-    ps = _strong(ps)
+    ps.check_strong()
     if ps.t < 1:
         raise ValueError("t must be >= 1 for the branching step")
 

@@ -1,7 +1,9 @@
 """The standing parameter tuple (p, a, t, k) and its derived quantities.
 
 Hypotheses are enforced eagerly at construction, so every checker
-downstream may assume them.  Derived fields:
+downstream may assume them.  Theorem 2 and the case2/case3 reduction
+steps also need the sharper 2p^(2a+1) | k and (p-1) ∤ k, which those
+checkers test first with check_strong.  Derived fields:
 
     d      = (p-1) / gcd(k, p-1)
     v      = min(vp(k) - 2a - 1, t)
@@ -61,13 +63,8 @@ class ParameterSet:
             "M": self.M,
         }
 
-
-@dataclass(frozen=True)
-class StrongParameterSet(ParameterSet):
-    """ParameterSet with the sharper hypotheses 2p^(2a+1) | k and (p-1) ∤ k."""
-
-    def __post_init__(self):
-        super().__post_init__()
+    def check_strong(self) -> None:
+        """Raise unless the sharper hypotheses 2p^(2a+1) | k and (p-1) ∤ k hold."""
         if self.k % (2 * self.p ** (2 * self.a + 1)) != 0:
             raise ValueError(
                 f"k = {self.k} is not divisible by 2p^(2a+1) = {2 * self.p ** (2 * self.a + 1)}"

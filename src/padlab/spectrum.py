@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping
 
 from .jet import derivative_mod
 from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
@@ -24,38 +23,29 @@ from .params import ParameterSet, f_exponents
 from .report import CheckReport
 
 
+@dataclass
 class ResidueMultiset:
     """Map from invertible residue value mod p^M to positive multiplicity."""
 
-    __slots__ = ("p", "M", "counts")
+    p: int
+    M: int
+    counts: dict[int, int]
 
-    def __init__(self, p: int, M: int, counts: Mapping[int, int]):
-        pM = p**M
-        for key, c in counts.items():
+    def __post_init__(self):
+        pM = self.p**self.M
+        for key, c in self.counts.items():
             if not 0 <= key < pM:
-                raise ValueError(f"residue {key} out of range for modulus {p}^{M}")
-            if key % p == 0:
-                raise ValueError(f"residue {key} is not invertible mod {p}^{M}")
+                raise ValueError(f"residue {key} out of range for modulus {self.p}^{self.M}")
+            if key % self.p == 0:
+                raise ValueError(f"residue {key} is not invertible mod {self.p}^{self.M}")
             if c < 1:
                 raise ValueError(f"multiplicity of {key} must be positive, got {c}")
-        self.p = p
-        self.M = M
-        self.counts = dict(counts)
 
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, ResidueMultiset):
-            return NotImplemented
-        return (self.p, self.M, self.counts) == (other.p, other.M, other.counts)
-
     def __len__(self):
         return len(self.counts)
-
-    def __repr__(self):
-        items = ", ".join(f"{k}:{c}" for k, c in sorted(self.counts.items()))
-        return f"ResidueMultiset(mod {self.p}^{self.M}, {{{items}}})"
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,7 @@ def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
         val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
         if val % ps.p != 0:
             counts[val] += 1
-    return ResidueMultiset(ps.p, ps.M, counts)
+    return ResidueMultiset(ps.p, ps.M, dict(counts))
 
 
 def build_S(ps: ParameterSet) -> ResidueMultiset:
@@ -175,8 +165,6 @@ def corollary1_check(ps: ParameterSet, x: int, mu: int) -> CheckReport:
     gk = gcd(ps.k, ps.p - 1)
     if pow(mu, gk, ps.p) != 1:
         raise ValueError(f"mu = {mu} is not a {gk}-th root of unity mod {ps.p}")
-    if x % ps.p == 0:
-        raise ValueError(f"x = {x} must be invertible mod p = {ps.p}")
     y = x * mu % ps.p
     s_x = build_S_x(ps, x)
     s_y = build_S_x(ps, y)

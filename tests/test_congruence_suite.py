@@ -9,10 +9,10 @@ from padlab.congruence_suite import (
     theorem2_check,
 )
 from padlab.padic_core import vp
-from padlab.params import ParameterSet, StrongParameterSet
+from padlab.params import ParameterSet
 from padlab.powersum import power_sum_mod
 
-SPS = StrongParameterSet(5, 0, 0, 10)
+SPS = ParameterSet(5, 0, 0, 10)
 
 
 class TestTheorem2:
@@ -42,7 +42,7 @@ class TestTheorem2:
 
     def test_second_difference_vanishes(self):
         # S(r+1) - 2 S(r) + S(r-1) ≡ 0 mod p^M, the quadratic-factor form
-        for sps in (SPS, StrongParameterSet(5, 0, 1, 10), StrongParameterSet(7, 0, 0, 14)):
+        for sps in (SPS, ParameterSet(5, 0, 1, 10), ParameterSet(7, 0, 0, 14)):
             pM = sps.p**sps.M
             shift = sps.p**sps.a * (sps.p - 1)
             sums = {
@@ -109,6 +109,9 @@ class TestCorollary2:
         assert rep.inputs["v"] == 1
         rep = corollary2_check(5, 0, 1, 10)
         assert rep.inputs["v"] == 0
+        # a = 1, t = 1: v = max(0, min(vp(b/p^t) - 3, t)) on both sides of 2a+1 = 3
+        for vc, v in [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1)]:
+            assert corollary2_check(5, 1, 1, 5 ** (1 + vc)).inputs["v"] == v
 
     def test_v_range_checked(self):
         with pytest.raises(ValueError, match="0 <= v <= t"):
@@ -163,7 +166,7 @@ class TestCase2:
         assert rep.details == {"index_lhs": 18, "index_rhs": 14}
 
     def test_example_t1(self):
-        rep = case2_check(StrongParameterSet(5, 0, 1, 10), 2)
+        rep = case2_check(ParameterSet(5, 0, 1, 10), 2)
         assert rep.holds and rep.details["index_lhs"] == 90
 
     def test_b1_trivial(self):
@@ -178,7 +181,7 @@ class TestCase2:
 class TestCase3:
     @pytest.mark.parametrize("args", [(5, 0, 1, 10), (5, 0, 2, 10), (7, 0, 1, 14)])
     def test_examples(self, args):
-        rep = case3_branch_check(StrongParameterSet(*args))
+        rep = case3_branch_check(ParameterSet(*args))
         assert rep.holds
         assert rep.modulus == (args[0], 3 * args[1] + args[2] + 2)
 
@@ -189,7 +192,7 @@ class TestCase3:
     def test_consistent_with_kummer(self):
         # dividing the branch congruence by (k+p^a(p-1))p^t of valuation a+t
         # is the index step t -> t-1 of the corrected B/index congruence
-        sps = StrongParameterSet(5, 0, 1, 10)
+        sps = ParameterSet(5, 0, 1, 10)
         assert case3_branch_check(sps).holds
         assert kummer_check(5, 0, 14, 70).holds
 

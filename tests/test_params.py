@@ -1,10 +1,12 @@
+import re
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 
-from padlab.params import ParameterSet, StrongParameterSet, f_exponents
+from padlab.congruence_suite import case2_check, case3_branch_check, theorem2_check
+from padlab.params import ParameterSet, f_exponents
 
 
 class TestMakeParams:
@@ -40,20 +42,30 @@ class TestMakeParams:
 
 class TestStrongParams:
     def test_accepts(self):
-        StrongParameterSet(5, 0, 0, 10)
-        StrongParameterSet(7, 0, 1, 14)
+        ParameterSet(5, 0, 0, 10).check_strong()
+        ParameterSet(7, 0, 1, 14).check_strong()
 
     def test_rejects_factor_two_missing(self):
         with pytest.raises(ValueError, match="2p"):
-            StrongParameterSet(5, 0, 0, 5)
+            ParameterSet(5, 0, 0, 5).check_strong()
 
     def test_rejects_p_minus_one_divisor(self):
         with pytest.raises(ValueError, match="p-1"):
-            StrongParameterSet(5, 0, 0, 20)
+            ParameterSet(5, 0, 0, 20).check_strong()
 
-    def test_is_parameter_set(self):
-        assert isinstance(StrongParameterSet(5, 0, 0, 10), ParameterSet)
-        assert isinstance(StrongParameterSet(5, 0, 0, 10), StrongParameterSet)
+    def test_strong_checkers_reject_weak_k(self):
+        # theorem2, case2 and case3 each run check_strong first, so a weak k
+        # errors with its message whatever the checker's own arguments
+        messages = {
+            5: "k = 5 is not divisible by 2p^(2a+1) = 10",
+            20: "k = 20 must not be divisible by p-1 = 4",
+        }
+        for k, message in messages.items():
+            ps = ParameterSet(5, 0, 1, k)
+            checks = (lambda: theorem2_check(ps, 1), lambda: case2_check(ps, 2), lambda: case3_branch_check(ps))
+            for check in checks:
+                with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                    check()
 
 
 class TestFExponents:
@@ -98,8 +110,27 @@ class TestDerivedInvariants:
         # both exponents clear 2p^(a+t) once 2p^(2a+1) | k; the minimal
         # plain k = p^(2a+1) at a = 0 gives e_minus = p^t below that bound
         for p, a, t in [(5, 0, 0), (5, 1, 1), (7, 0, 1), (7, 1, 0)]:
-            sps = StrongParameterSet(p, a, t, 2 * p ** (2 * a + 1))
+            sps = ParameterSet(p, a, t, 2 * p ** (2 * a + 1))
+            sps.check_strong()
             e_plus, e_minus = f_exponents(sps)
             assert min(e_plus, e_minus) >= 2 * p ** (a + t)
         weak = ParameterSet(5, 0, 1, 5)
         assert min(f_exponents(weak)) == 5 < 2 * 5
+
+    @given(valid_params(), st.integers(min_value=-100, max_value=100))
+    def test_strong_hypotheses_make_case2_indices_valid(self, ps, b):
+        # why case2 guards only index_b < 2: once check_strong passes, both
+        # Bernoulli indices (k + b p^a(p-1))p^t are ≡ k mod p-1 and even
+        ps = ParameterSet(ps.p, ps.a, ps.t, 2 * ps.k)
+        try:
+            ps.check_strong()
+        except ValueError:
+            reject()
+        shift = ps.p**ps.a * (ps.p - 1)
+        index_b = (ps.k + b * shift) * ps.p**ps.t
+        index_1 = (ps.k + shift) * ps.p**ps.t
+        assume(index_b >= 2)
+        assert index_1 >= 2
+        for idx in (index_b, index_1):
+            assert idx % 2 == 0
+            assert idx % (ps.p - 1) != 0

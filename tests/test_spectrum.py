@@ -172,6 +172,10 @@ class TestCorollary1:
         with pytest.raises(ValueError, match="root of unity"):
             corollary1_check(PS, 1, 2)
 
+    def test_rejects_non_unit_x(self):
+        with pytest.raises(ValueError, match=r"^x = 5 must be invertible mod p = 5$"):
+            corollary1_check(PS, 5, 1)
+
 
 class TestStabilizer:
     def test_example(self):
