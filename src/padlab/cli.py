@@ -20,7 +20,9 @@ read.
 main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
 one handler, which prints a JSON error to stderr and exits 2.  Checker
-errors never get there: run_check has made them errored reports.
+errors never get there: run_check has made them errored reports.  Inputs
+are parsed under Python's 4300-digit limit on int <-> str conversion;
+then main lifts it until it returns, so results print at any length.
 
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
@@ -287,9 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # None on Pythons before 3.10.7, which have no such limit
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = build_parser().parse_args(argv)
         cmd = args.command
+        if cmd == "sweep":
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = SweepConfig.from_dict(json.load(fh))
+            if args.jobs is not None:
+                config.jobs = _jobs(args.jobs)
+        # every input is parsed; forked pool workers inherit the lifted limit
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(0)
 
         if cmd in REGISTRY:
             record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
@@ -318,10 +330,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if cmd == "sweep":
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = SweepConfig.from_dict(json.load(fh))
-            if args.jobs is not None:
-                config.jobs = _jobs(args.jobs)
             # opened before the grid runs, so an unwritable path costs no checks
             with open(args.out, "w", encoding="utf-8") as fh:
                 sweep = run_sweep(config)
@@ -332,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return 2
+    finally:
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(digits_limit)
 
     raise AssertionError(f"unhandled command {cmd!r}")
 

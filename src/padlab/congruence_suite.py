@@ -23,8 +23,6 @@ mod p^K with K doubled until the sum is nonzero.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime_gt3, vp
 from .params import ParameterSet
@@ -181,16 +179,7 @@ def kummer_check(p: int, a: int, r: int, s: int) -> CheckReport:
         raise ValueError(f"r = {r} and s = {s} must be congruent mod p^a(p-1) = {step}")
 
     exponent = a + 1
-    lhs_q = (1 - Fraction(p) ** (r - 1)) * bernoulli(r) / r
-    rhs_q = (1 - Fraction(p) ** (s - 1)) * bernoulli(s) / s
+    lhs_q = (1 - p ** (r - 1)) * bernoulli(r) / r
+    rhs_q = (1 - p ** (s - 1)) * bernoulli(s) / s
     return congruence_report("kummer", {"p": p, "a": a, "r": r, "s": s}, lhs_q, rhs_q, p, exponent)
 
-
-__all__ = [
-    "theorem2_check",
-    "corollary2_check",
-    "case1_step_check",
-    "case2_check",
-    "case3_branch_check",
-    "kummer_check",
-]

@@ -19,7 +19,7 @@ from math import perm
 
 from .padic_core import vp
 from .params import ParameterSet, f_exponents
-from .report import MARGIN_WINDOW, CheckReport
+from .report import MARGIN_WINDOW, CheckReport, rational_margin
 
 
 def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:
@@ -127,7 +127,7 @@ def corollary3_check(ps: ParameterSet, s0: int, kk: int, x: int) -> CheckReport:
         lhs=str(lhs_big % p**weak_exp),
         rhs=str(rhs_big % p**weak_exp),
         modulus=(p, weak_exp),
-        margin=min(val - weak_exp, MARGIN_WINDOW),
+        margin=rational_margin(diff, p, weak_exp),
         details={
             "weak_holds": weak_holds,
             "strong_holds": strong_holds,

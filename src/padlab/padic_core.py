@@ -41,8 +41,6 @@ def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer: the largest e with p^e | n."""
     if n == 0:
         raise ValueError("valuation of zero is infinite")
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -53,8 +51,6 @@ def vp(n: int, p: int) -> int:
 
 def vp_rational(q: Fraction, p: int) -> int:
     """Valuation of a nonzero rational; negative when p divides the denominator."""
-    if q == 0:
-        raise ValueError("valuation of zero is infinite")
     return vp(q.numerator, p) - vp(q.denominator, p)
 
 

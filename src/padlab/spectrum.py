@@ -211,7 +211,7 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
     return CheckReport(
         name="theorem3",
         inputs=ps.as_dict(),
-        holds=sub.order == expected and is_root_group,
+        holds=sub.order == expected,
         lhs=str(sub.order),
         rhs=str(expected),
         modulus=(ps.p, ps.M),

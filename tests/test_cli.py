@@ -51,6 +51,15 @@ POINTS = {
 }
 
 
+# a holding corollary3 point whose sides have 4473 digits, more than the
+# 4300 that Python (>= 3.10.7) converts between int and str by default
+BIG_SIDES = {"p": 5, "a": 0, "t": 0, "k": 15005, "s0": 2, "kk": 3200, "x": 1}
+
+
+def _int_str_digits():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
 class TestRunCheck:
     def test_kummer_dispatch(self):
         rep = run_check("kummer", {"p": 5, "a": 0, "r": 2, "s": 6})
@@ -356,6 +365,31 @@ class TestMain:
         code = main(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--k", "4"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2 and out["error"]
+
+    def test_single_check_prints_sides_of_any_length(self, capsys):
+        limit = _int_str_digits()
+        code = main(["corollary3", *(f"--{k}={v}" for k, v in BIG_SIDES.items())])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["holds"] is True and out["margin"] == 0
+        assert out["error"] is None and len(out["lhs"]) == 4473
+        assert _int_str_digits() == limit
+
+    def test_pooled_sweep_prints_sides_of_any_length(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        grid = {k: [v] for k, v in BIG_SIDES.items()} | {"x": [1, 2]}
+        cfg.write_text(json.dumps({"checks": [{"name": "corollary3", "grid": grid}], "jobs": 2}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 0
+        body = json.loads(out_path.read_text())
+        assert body["summary"] == {"total": 2, "held": 2, "failed": 0, "errored": 0}
+        assert [r["margin"] for r in body["reports"]] == [0, 0]
+
+    @pytest.mark.skipif(_int_str_digits() is None, reason="Python < 3.10.7 has no digit limit")
+    def test_inputs_keep_the_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"checks": [{"name": "adams", "grid": {"r": [6], "p": [' + "7" * 5000 + "]}}]}")
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert code == 2 and "limit" in json.loads(capsys.readouterr().err)["error"]
 
     def test_lemma2_kk_is_spelled_k(self):
         args = build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--k", "5"])

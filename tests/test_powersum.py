@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from padlab.bernoulli import bernoulli
 from padlab.padic_core import vp
 from padlab.powersum import lemma1_check, lemma2_check, power_sum_exact, power_sum_mod
-from padlab.report import MARGIN_WINDOW, congruence_report
+from padlab.report import MARGIN_WINDOW, congruence_report, integer_margin, rational_margin
 
 def faulhaber(n_max, e):
     # closed-form oracle: sum_{n=0}^{N-1} n^e + N^e - 0^e, exact rationals
@@ -166,5 +166,20 @@ class TestCongruenceReport:
             assert congruence_report("c", {}, windowed, rhs_windowed, p, exponent) == exact
 
     def test_rejects_side_that_is_not_p_integral(self):
-        with pytest.raises(ArithmeticError, match="rhs 1/5 is unexpectedly not a 5-integer"):
+        with pytest.raises(ValueError, match="not p-integral: 1/5 has denominator divisible by 5"):
             congruence_report("c", {}, 1, Fraction(1, 5), 5, 2)
+
+
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=0, max_value=20),
+)
+def test_integer_margin_is_rational_margin(p, required, u, j):
+    # u p^j reaches 0 and multiples of p^(required + MARGIN_WINDOW); the
+    # margin reads only diff mod p^(required + MARGIN_WINDOW)
+    diff = u * p**j
+    margin = rational_margin(Fraction(diff), p, required)
+    assert integer_margin(diff, p, required) == margin
+    assert integer_margin(diff % p ** (required + MARGIN_WINDOW), p, required) == margin

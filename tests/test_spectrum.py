@@ -200,10 +200,19 @@ class TestStabilizer:
 
     @pytest.mark.parametrize(
         "args",
-        [(5, 0, 0, 10), (5, 0, 0, 5), (5, 0, 1, 10), (5, 1, 0, 125), (5, 0, 1, 25), (7, 0, 1, 14)],
+        [
+            (5, 0, 0, 10),
+            (5, 0, 0, 5),
+            (5, 0, 1, 10),
+            (5, 1, 0, 125),
+            (5, 0, 1, 25),
+            (7, 0, 1, 14),
+            # -1 swaps 1 and 24 but not their multiplicities: the order is 1
+            ResidueMultiset(5, 2, {1: 2, 24: 1}),
+        ],
     )
     def test_matches_brute_force(self, args):
-        s = build_S(ParameterSet(*args))
+        s = args if isinstance(args, ResidueMultiset) else build_S(ParameterSet(*args))
         fast = stabilizer(s)
         brute = stabilizer_brute_force(s)
         assert fast.order == brute.order
