@@ -9,7 +9,9 @@ RecursionErrors and MemoryErrors, into errored reports (unknown names or
 parameters raise instead), so one bad point cannot abort a sweep.  It is
 also the one place a check is timed: the checkers are pure, and run_check
 stamps the wall-clock elapsed_ms on every report it returns, errored ones
-included.  run_sweep expands each check's grid as a Cartesian product in
+included.  It runs each checker with Python's 4300-digit limit on int <->
+str conversion lifted, so no verdict depends on the pool's start method.
+run_sweep expands each check's grid as a Cartesian product in
 sorted parameter order, so report order is deterministic regardless of
 the parallelism degree.  A pool never has more workers than points, and
 it sends them chunks of max(1, len(points) // (8 * workers)) points, so
@@ -21,8 +23,9 @@ main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
 one handler, which prints a JSON error to stderr and exits 2.  Checker
 errors never get there: run_check has made them errored reports.  Inputs
-are parsed under Python's 4300-digit limit on int <-> str conversion;
-then main lifts it until it returns, so results print at any length.
+are parsed under the 4300-digit limit; then main lifts it until it
+returns, so results print at any length.  Every subcommand but bernoulli
+and sweep is a registered checker, such as spectrum.balance_check.
 
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
@@ -93,6 +96,7 @@ REGISTRY: dict[str, CheckerSpec] = {
     "theorem3": CheckerSpec(spectrum, "theorem3_check"),
     "transport": CheckerSpec(spectrum, "transport_check"),
     "corollary1": CheckerSpec(spectrum, "corollary1_check"),
+    "balance": CheckerSpec(spectrum, "balance_check"),
     "adams": CheckerSpec(bernoulli, "adams_check"),
     "von_staudt_clausen": CheckerSpec(bernoulli, "von_staudt_clausen_check"),
 }
@@ -111,11 +115,24 @@ def run_check(name: str, args: dict) -> CheckReport:
         raise ValueError(f"missing parameters for {name!r}: {sorted(missing)}")
     t0 = time.perf_counter_ns()
     try:
-        report = checker.run(args)
+        report = _without_digit_limit(checker.run, args)
     except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
         report = CheckReport(name=name, inputs=dict(args), holds=False, error=str(exc))
     report.elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
     return report
+
+
+def _without_digit_limit(fn, *args):
+    """fn(*args) with Python's 4300-digit int <-> str limit lifted, then
+    restored; Pythons before 3.10.7 have no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return fn(*args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
             flag = spec.flags.get(param, param)
             sp.add_argument(f"--{flag}", dest=param, type=int, required=param in spec.params)
 
-    sp = sub.add_parser("stabilizer", help="stabilizer order and generator of S")
-    for flag in _PS_FIELDS:
-        sp.add_argument(f"--{flag}", type=int, required=True)
-
-    sp = sub.add_parser("balance", help="test whether S is j-balanced")
-    for flag in (*_PS_FIELDS, "j"):
-        sp.add_argument(f"--{flag}", type=int, required=True)
-
     sp = sub.add_parser("bernoulli", help="print B_n as numerator/denominator")
     sp.add_argument("--n", type=int, required=True)
 
@@ -289,62 +298,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # None on Pythons before 3.10.7, which have no such limit
-    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = build_parser().parse_args(argv)
-        cmd = args.command
-        if cmd == "sweep":
+        config = None
+        if args.command == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = SweepConfig.from_dict(json.load(fh))
             if args.jobs is not None:
                 config.jobs = _jobs(args.jobs)
-        # every input is parsed; forked pool workers inherit the lifted limit
-        if digits_limit is not None:
-            sys.set_int_max_str_digits(0)
-
-        if cmd in REGISTRY:
-            record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
-            report = run_check(cmd, record)
-            print(_dump(report.to_json_dict()))
-            return _exit_code([report])
-
-        if cmd in ("stabilizer", "balance"):
-            ps = ParameterSet(*(getattr(args, f) for f in _PS_FIELDS))
-            s = spectrum.build_S(ps)
-            out = {"parameters": {k: str(v) for k, v in ps.as_dict().items()}}
-            if cmd == "stabilizer":
-                sub = spectrum.stabilizer(s)
-                out["order"] = str(sub.order)
-                out["generator"] = str(sub.generator)
-                out["modulus"] = {"p": str(ps.p), "exp": ps.M}
-            else:
-                out["j"] = args.j
-                out["balanced"] = spectrum.j_balanced(s, args.j)
-            print(_dump(out))
-            return 0
-
-        if cmd == "bernoulli":
-            value = bernoulli.bernoulli(args.n)
-            print(f"{value.numerator}/{value.denominator}")
-            return 0
-
-        if cmd == "sweep":
-            # opened before the grid runs, so an unwritable path costs no checks
-            with open(args.out, "w", encoding="utf-8") as fh:
-                sweep = run_sweep(config)
-                # the C encoder: indent=2 would force the pure-Python one
-                fh.write(json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n")
-            print(_dump({"out": args.out, "summary": sweep.summary}))
-            return sweep.exit_code()
+        # every input is parsed under the digit limit; results print at any length
+        return _without_digit_limit(_run_command, args, config)
     except (OSError, ValueError, RecursionError) as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return 2
-    finally:
-        if digits_limit is not None:
-            sys.set_int_max_str_digits(digits_limit)
 
-    raise AssertionError(f"unhandled command {cmd!r}")
+
+def _run_command(args: argparse.Namespace, config: SweepConfig | None) -> int:
+    cmd = args.command
+    if cmd == "bernoulli":
+        value = bernoulli.bernoulli(args.n)
+        print(f"{value.numerator}/{value.denominator}")
+        return 0
+
+    if cmd == "sweep":
+        # opened before the grid runs, so an unwritable path costs no checks
+        with open(args.out, "w", encoding="utf-8") as fh:
+            sweep = run_sweep(config)
+            # the C encoder: indent=2 would force the pure-Python one
+            fh.write(json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n")
+        print(_dump({"out": args.out, "summary": sweep.summary}))
+        return sweep.exit_code()
+
+    record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+    report = run_check(cmd, record)
+    print(_dump(report.to_json_dict()))
+    return _exit_code([report])
 
 
 def entrypoint() -> None:

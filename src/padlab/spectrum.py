@@ -8,7 +8,8 @@ fixes the multiset; stabilizer computes the full stabilizer subgroup
 (cyclic, so it is determined by the largest stabilizing prime-power
 orders); theorem3_check compares the stabilizer order against d*p^a
 (v < t) or d (v = t).  j_balanced is the fiber-equidistribution
-diagnostic that controls the p-part of the stabilizer.
+diagnostic that controls the p-part of the stabilizer; balance_check
+verifies that it agrees with the stabilizer order, j by j.
 """
 
 from __future__ import annotations
@@ -224,21 +225,31 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
 
 
 def j_balanced(s: ResidueMultiset, j: int) -> bool:
-    """True iff every fiber of reduction mod p^(M-j) meets s with equal counts.
-
-    For each member, all p^j lifts of its reduction mod p^(M-j) must occur
-    with the same multiplicity.
-    """
+    """True iff every fiber of reduction mod p^(M-j) that meets s holds all
+    p^j lifts of its base, each with the same multiplicity."""
     if not 1 <= j < s.M:
         raise ValueError(f"j must satisfy 1 <= j < M = {s.M}, got {j}")
     base_mod = s.p ** (s.M - j)
-    seen: set[int] = set()
-    for key in s.counts:
-        base = key % base_mod
-        if base in seen:
-            continue
-        seen.add(base)
-        fiber = {s.counts.get(base + i * base_mod, 0) for i in range(s.p**j)}
-        if len(fiber) != 1:
-            return False
-    return True
+    fibers: dict[int, list[int]] = {}
+    for key, c in s.counts.items():
+        fibers.setdefault(key % base_mod, []).append(c)
+    return all(len(cs) == s.p**j and len(set(cs)) == 1 for cs in fibers.values())
+
+
+def balance_check(ps: ParameterSet, j: int) -> CheckReport:
+    """Check that S is j-balanced exactly when p^j divides |Stab(S)|: the
+    units' subgroup of order p^j is {x ≡ 1 mod p^(M-j)}, whose orbits are
+    the fibers of reduction mod p^(M-j)."""
+    s = build_S(ps)
+    balanced = j_balanced(s, j)
+    order = stabilizer(s).order
+    divides = order % ps.p**j == 0
+    return CheckReport(
+        name="balance",
+        inputs={**ps.as_dict(), "j": j},
+        holds=balanced == divides,
+        lhs=str(balanced).lower(),  # S is j-balanced
+        rhs=str(divides).lower(),  # p^j divides the stabilizer order
+        modulus=(ps.p, ps.M),
+        details={"balanced": balanced, "stabilizer_order": order},
+    )

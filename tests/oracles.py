@@ -17,3 +17,21 @@ def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
         if element_order(u, s.p, s.M) == order:
             return SubgroupDescriptor(order, u, s.p, s.M)
     raise AssertionError("stabilizer scan found no generator")  # not cyclic: impossible
+
+
+def j_balanced_brute_force(s: ResidueMultiset, j: int) -> bool:
+    """j_balanced by walking all p^j lifts of every fiber that s meets; the
+    reference for the grouping pass that spectrum.j_balanced takes."""
+    if not 1 <= j < s.M:
+        raise ValueError(f"j must satisfy 1 <= j < M = {s.M}, got {j}")
+    base_mod = s.p ** (s.M - j)
+    seen: set[int] = set()
+    for key in s.counts:
+        base = key % base_mod
+        if base in seen:
+            continue
+        seen.add(base)
+        fiber = {s.counts.get(base + i * base_mod, 0) for i in range(s.p**j)}
+        if len(fiber) != 1:
+            return False
+    return True

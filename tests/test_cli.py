@@ -1,4 +1,7 @@
+import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -46,6 +49,7 @@ POINTS = {
     "theorem3": {"p": 5, "a": 0, "t": 0, "k": 10},
     "transport": {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 2, "n": 1},
     "corollary1": {"p": 5, "a": 0, "t": 0, "k": 10, "x": 2, "mu": 4},
+    "balance": {"p": 5, "a": 1, "t": 1, "k": 125, "j": 1},
     "adams": {"r": 6, "p": 5},
     "von_staudt_clausen": {"n": 12},
 }
@@ -61,6 +65,13 @@ def _int_str_digits():
 
 
 class TestRunCheck:
+    def test_library_call_checks_sides_of_any_length(self):
+        # run_check lifts the digit limit around the checker and restores it
+        limit = _int_str_digits()
+        rep = run_check("corollary3", BIG_SIDES)
+        assert rep.status == "held" and len(rep.lhs) == 4473
+        assert _int_str_digits() == limit
+
     def test_kummer_dispatch(self):
         rep = run_check("kummer", {"p": 5, "a": 0, "r": 2, "s": 6})
         assert rep.holds and rep.error is None
@@ -311,6 +322,20 @@ class TestSweep:
             assert reports[:19] + reports[20:] == clean["reports"][:19] + clean["reports"][20:]
             assert sweep.exit_code() == code
 
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_verdicts_do_not_depend_on_start_method(self, monkeypatch, method):
+        # only fork copies the parent's int <-> str digit limit into a worker,
+        # so a spawn or forkserver pool shows whether run_check lifts it itself
+        grid = {k: [v] for k, v in BIG_SIDES.items()} | {"s0": [2, 3]}
+        raw = {"checks": [{"name": "corollary3", "grid": grid}], "jobs": 2}
+        serial = canonical_body(run_sweep(SweepConfig.from_dict({**raw, "jobs": 1})).to_json_dict())
+        context = multiprocessing.get_context(method)
+        pool = functools.partial(ProcessPoolExecutor, mp_context=context)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        sweep = run_sweep(SweepConfig.from_dict(raw))
+        assert sweep.summary == {"total": 2, "held": 2, "failed": 0, "errored": 0}
+        assert canonical_body(sweep.to_json_dict()) == serial
+
     def test_heavy_sweep_config(self):
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
         # (11,2,2) and (7,2,2); the summary pins every verdict
@@ -410,15 +435,26 @@ class TestMain:
         assert capsys.readouterr().out.strip() == "1/1"
 
     def test_stabilizer_output(self, capsys):
-        code = main(["stabilizer", "--p", "5", "--a", "0", "--t", "0", "--k", "10"])
+        # theorem3 reports the stabilizer's order as lhs and its generator
+        code = main(["theorem3", "--p", "5", "--a", "0", "--t", "0", "--k", "10"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["order"] == "2" and out["generator"] == "24"
+        assert out["lhs"] == "2" and out["details"]["generator"] == "24"
 
     def test_balance_output(self, capsys):
         code = main(["balance", "--p", "5", "--a", "1", "--t", "1", "--k", "125", "--j", "1"])
         out = json.loads(capsys.readouterr().out)
-        assert code == 0 and out["balanced"] is True
+        assert code == 0 and out["details"]["balanced"] is True
+
+    def test_balance_invalid_input_is_errored_report(self, capsys):
+        # a j outside 1 <= j < M, or a p that is not an odd prime, is
+        # rejected inside the checker: an errored report on stdout, exit 2
+        for argv in ("balance --p 5 --a 1 --t 1 --k 125 --j 0", "balance --p 4 --a 0 --t 0 --k 4 --j 1"):
+            code = main(argv.split())
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)
+            assert code == 2 and captured.err == "", argv
+            assert out["name"] == "balance" and out["error"] and out["holds"] is False, argv
 
     def test_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -472,8 +508,6 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            "stabilizer --p 4 --a 0 --t 0 --k 4",
-            "balance --p 5 --a 1 --t 1 --k 125 --j 0",
             "bernoulli --n -1",
         ],
     )

@@ -1,6 +1,9 @@
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padlab.jet import derivative_mod
 from padlab.padic_core import element_order, roots_of_unity
@@ -9,6 +12,7 @@ from padlab.spectrum import (
     ResidueMultiset,
     SubgroupDescriptor,
     act,
+    balance_check,
     build_S,
     build_S_x,
     corollary1_check,
@@ -19,7 +23,7 @@ from padlab.spectrum import (
     transport_check,
 )
 
-from oracles import stabilizer_brute_force
+from oracles import j_balanced_brute_force, stabilizer_brute_force
 
 PS = ParameterSet(5, 0, 0, 10)
 M25 = (5, 2)
@@ -269,6 +273,29 @@ class TestJBalanced:
         s = ResidueMultiset(*M25, {2 + 5 * i: 3 for i in range(5)})
         assert j_balanced(s, 1)
 
+    def test_every_fiber_is_checked(self):
+        # the fiber of 2 mod 5 is full with one count; the fiber of 3 is not
+        s = ResidueMultiset(5, 2, {2: 1, 7: 1, 12: 1, 17: 1, 22: 1, 3: 1})
+        assert not j_balanced(s, 1)
+
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        M = data.draw(st.integers(2, 3))
+        j = data.draw(st.integers(1, M - 1))
+        base_mod = p ** (M - j)
+        counts = {}
+        for base in data.draw(st.sets(st.sampled_from([b for b in range(base_mod) if b % p]), max_size=4)):
+            lifts = [base + i * base_mod for i in range(p**j)]
+            if data.draw(st.booleans()):  # a full fiber with one count
+                counts.update(dict.fromkeys(lifts, data.draw(st.integers(1, 3))))
+            else:
+                for key in data.draw(st.sets(st.sampled_from(lifts), min_size=1)):
+                    counts[key] = data.draw(st.integers(1, 3))
+        s = ResidueMultiset(p, M, counts)
+        for jj in range(1, M):
+            assert j_balanced(s, jj) == j_balanced_brute_force(s, jj), jj
+
     def test_grid_point_balanced(self):
         s = build_S(ParameterSet(5, 1, 1, 125))
         assert j_balanced(s, 1)
@@ -296,3 +323,22 @@ class TestJBalanced:
             assert j_balanced(s, j)
         if e + 1 < ps.M:
             assert not j_balanced(s, e + 1)
+
+
+class TestBalance:
+    def test_example(self):
+        rep = balance_check(ParameterSet(5, 1, 1, 125), 2)
+        assert rep.holds and (rep.lhs, rep.rhs) == ("false", "false")
+        assert rep.details == {"balanced": False, "stabilizer_order": 20}
+
+    def test_holds_on_theorem3_grid(self):
+        # the benchmark region-map's theorem3 grid, k = p^3 * i for i <= 5,
+        # at every 1 <= j < M: S is j-balanced at some points and not others
+        seen = Counter()
+        for p, a, t, i in itertools.product((3, 5, 7, 11, 13), (0, 1), (0, 1, 2), range(1, 6)):
+            ps = ParameterSet(p, a, t, p**3 * i)
+            for j in range(1, ps.M):
+                rep = balance_check(ps, j)
+                assert rep.holds, rep.inputs
+                seen[rep.details["balanced"]] += 1
+        assert sum(seen.values()) == 604 and seen[True] and seen[False]
