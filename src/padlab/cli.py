@@ -6,7 +6,8 @@ function's signature is the only statement of its parameters, a leading
 keys are derived from it.  run_check dispatches a flat {param: int}
 record and turns math-level ValueErrors and ArithmeticErrors, as well as
 RecursionErrors and MemoryErrors, into errored reports (unknown names or
-parameters raise instead), so one bad point cannot abort a sweep.  It is
+parameters raise instead, by the rule _checker states for run_check and
+for each sweep grid), so one bad point cannot abort a sweep.  It is
 also the one place a check is timed: the checkers are pure, and run_check
 stamps the wall-clock elapsed_ms on every report it returns, errored ones
 included.  It runs each checker with Python's 4300-digit limit on int <->
@@ -59,8 +60,6 @@ class CheckerSpec:
 
     module: ModuleType
     fn: str
-    # CLI flag spellings that differ from the parameter name
-    flags: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         sig = inspect.signature(getattr(self.module, self.fn)).parameters.values()
@@ -68,7 +67,6 @@ class CheckerSpec:
         self.ps_first = required[:1] == ["ps"]
         self.params = (*_PS_FIELDS, *required[1:]) if self.ps_first else tuple(required)
         self.optional = tuple(q.name for q in sig if q.default is not q.empty)
-        self.allowed = {*self.params, *self.optional}
 
     def run(self, args: dict) -> CheckReport:
         # looked up per call, so a rebound module attribute (a tracer's
@@ -88,7 +86,7 @@ REGISTRY: dict[str, CheckerSpec] = {
     "case2": CheckerSpec(congruence_suite, "case2_check"),
     "case3": CheckerSpec(congruence_suite, "case3_branch_check"),
     "lemma1": CheckerSpec(powersum, "lemma1_check"),
-    "lemma2": CheckerSpec(powersum, "lemma2_check", flags={"kk": "k"}),
+    "lemma2": CheckerSpec(powersum, "lemma2_check"),
     "lemma4": CheckerSpec(jet, "lemma4_check"),
     "lemma5": CheckerSpec(jet, "lemma5_count"),
     "corollary3": CheckerSpec(jet, "corollary3_check"),
@@ -102,17 +100,24 @@ REGISTRY: dict[str, CheckerSpec] = {
 }
 
 
-def run_check(name: str, args: dict) -> CheckReport:
-    """Dispatch a registered checker, timed; math errors become errored reports."""
-    checker = REGISTRY.get(name)
+def _checker(name, keys) -> CheckerSpec:
+    """The registered checker `name`, if `keys` holds each of its required
+    parameters and nothing it does not take; else a ValueError."""
+    checker = REGISTRY.get(name) if isinstance(name, str) else None
     if checker is None:
         raise ValueError(f"unknown checker name: {name!r}")
-    unknown = set(args) - checker.allowed
+    unknown = set(keys) - {*checker.params, *checker.optional}
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
-    missing = set(checker.params) - set(args)
+    missing = set(checker.params) - set(keys)
     if missing:
         raise ValueError(f"missing parameters for {name!r}: {sorted(missing)}")
+    return checker
+
+
+def run_check(name: str, args: dict) -> CheckReport:
+    """Dispatch a registered checker, timed; math errors become errored reports."""
+    checker = _checker(name, args)
     t0 = time.perf_counter_ns()
     try:
         report = _without_digit_limit(checker.run, args)
@@ -158,25 +163,18 @@ class SweepConfig:
             if not isinstance(entry, dict):
                 raise ValueError(f"each check must be an object, got {entry!r}")
             name = entry.get("name")
-            if not isinstance(name, str) or name not in REGISTRY:
-                raise ValueError(f"unknown checker name: {name!r}")
             unknown = set(entry) - {"name", "grid"}
             if unknown:
                 raise ValueError(f"unknown keys in check {name!r}: {sorted(unknown)}")
-            checker = REGISTRY[name]
             grid = entry.get("grid")
             if not isinstance(grid, dict) or not grid:
                 raise ValueError(f"check {name!r} needs a nonempty 'grid' object")
+            _checker(name, grid)
             for key, values in grid.items():
-                if key not in checker.allowed:
-                    raise ValueError(f"{key!r} is not a parameter of {name!r}")
                 if not isinstance(values, list) or not values:
                     raise ValueError(f"grid entry {name}.{key} must be a nonempty list")
                 if not all(map(_is_int, values)):
                     raise ValueError(f"grid entry {name}.{key} must list integers, got {values!r}")
-            missing = set(checker.params) - set(grid)
-            if missing:
-                raise ValueError(f"check {name!r} is missing grid keys {sorted(missing)}")
         return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
 
 
@@ -283,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in REGISTRY.items():
         sp = sub.add_parser(name, help=f"run the {name} checker")
         for param in spec.params + spec.optional:
-            flag = spec.flags.get(param, param)
-            sp.add_argument(f"--{flag}", dest=param, type=int, required=param in spec.params)
+            sp.add_argument(f"--{param}", type=int, required=param in spec.params)
 
     sp = sub.add_parser("bernoulli", help="print B_n as numerator/denominator")
     sp.add_argument("--n", type=int, required=True)

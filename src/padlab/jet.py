@@ -38,8 +38,6 @@ def derivative_valuation(ps: ParameterSet, m: int, n: int, cap: int) -> int:
     """vp(f^(m)(n)) computed mod p^cap; a return of cap means ">= cap"."""
     if m < 1:
         raise ValueError("derivative order must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     p = ps.p
     if n % p == 0:
         raise ValueError(f"n = {n} must be invertible mod p = {p}")

@@ -67,8 +67,6 @@ def _jsonify(v):
         return v
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, dict):
         return {k: _jsonify(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

@@ -224,11 +224,15 @@ def theorem3_check(ps: ParameterSet) -> CheckReport:
     )
 
 
+def _check_j(j: int, M: int) -> None:
+    if not 1 <= j < M:
+        raise ValueError(f"j must satisfy 1 <= j < M = {M}, got {j}")
+
+
 def j_balanced(s: ResidueMultiset, j: int) -> bool:
     """True iff every fiber of reduction mod p^(M-j) that meets s holds all
     p^j lifts of its base, each with the same multiplicity."""
-    if not 1 <= j < s.M:
-        raise ValueError(f"j must satisfy 1 <= j < M = {s.M}, got {j}")
+    _check_j(j, s.M)
     base_mod = s.p ** (s.M - j)
     fibers: dict[int, list[int]] = {}
     for key, c in s.counts.items():
@@ -240,6 +244,7 @@ def balance_check(ps: ParameterSet, j: int) -> CheckReport:
     """Check that S is j-balanced exactly when p^j divides |Stab(S)|: the
     units' subgroup of order p^j is {x ≡ 1 mod p^(M-j)}, whose orbits are
     the fibers of reduction mod p^(M-j)."""
+    _check_j(j, ps.M)  # before S, which costs far more than the check
     s = build_S(ps)
     balanced = j_balanced(s, j)
     order = stabilizer(s).order

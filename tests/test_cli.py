@@ -55,6 +55,13 @@ POINTS = {
 }
 
 
+def _fork_pool(monkeypatch):
+    """Make run_sweep's pools fork their workers, whatever the default start
+    method, so the workers inherit spies that a test set in this process."""
+    pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+
+
 # a holding corollary3 point whose sides have 4473 digits, more than the
 # 4300 that Python (>= 3.10.7) converts between int and str by default
 BIG_SIDES = {"p": 5, "a": 0, "t": 0, "k": 15005, "s0": 2, "kk": 3200, "x": 1}
@@ -96,6 +103,25 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="missing parameters"):
             run_check("kummer", {"p": 5})
 
+    @pytest.mark.parametrize(
+        "name, args, error",
+        [
+            ("corollary2", {"p": 9, "a": 0, "t": 0, "b": 6}, "9 is not an odd prime"),
+            ("corollary2", {"p": 5, "a": 0, "t": -1, "b": 6}, "a and t must be nonnegative"),
+            ("corollary2", {"p": 5, "a": 0, "t": 0, "b": 0}, "b must be a positive integer"),
+            ("case1", {"p": 5, "a": 0, "r": 2}, "a must be a positive integer"),
+            ("case1", {"p": 5, "a": 1, "r": 3}, "r must be even and positive, got 3"),
+            ("kummer", {"p": 9, "a": 0, "r": 2, "s": 2}, "9 is not an odd prime"),
+            ("kummer", {"p": 5, "a": -1, "r": 2, "s": 6}, "a must be nonnegative"),
+            ("lemma2", {"p": 9, "a": 1, "rr": 1, "kk": 9}, "9 is not an odd prime"),
+            ("lemma2", {"p": 5, "a": 0, "rr": 1, "kk": 5}, "a must be a positive integer"),
+            ("lemma2", {"p": 5, "a": 1, "rr": 0, "kk": 5}, "rr must be a positive integer"),
+        ],
+    )
+    def test_hypothesis_error_text(self, name, args, error):
+        rep = run_check(name, args)
+        assert rep.status == "errored" and rep.error == error
+
     def test_elapsed_ms_is_timed_at_dispatch(self, monkeypatch):
         # a clock that advances 5 ms per read: every report, errored ones
         # included, carries the one interval run_check measured
@@ -120,11 +146,10 @@ class TestRunCheck:
         for name, args in POINTS.items():
             rep = run_check(name, args)
             assert rep.error is None and rep.holds, (name, rep.error)
-            # the same point as a subcommand, flags spelled as the registry says
-            spec = REGISTRY[name]
+            # the same point as a subcommand: each flag is a parameter name
             argv = [name]
             for param, value in args.items():
-                argv += [f"--{spec.flags.get(param, param)}", str(value)]
+                argv += [f"--{param}", str(value)]
             assert main(argv) == 0, argv
             assert json.loads(capsys.readouterr().out)["holds"] is True
 
@@ -202,6 +227,7 @@ class TestSweep:
         # read B_575; neither a serial nor a pooled sweep may grow a table
         # for them.  The spy is set on the class, so forked pool workers
         # inherit it and report their growth through a file.
+        _fork_pool(monkeypatch)
         log = tmp_path / "grow.log"
         grow = BernoulliTable.grow
 
@@ -302,6 +328,7 @@ class TestSweep:
         # one point of a 40-point grid raises; it becomes an errored report
         # and the rest of its pool chunk survives.  Forked workers inherit
         # the patched module attribute.
+        _fork_pool(monkeypatch)
         failing = {"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2]}}
         configs = [({"checks": [VSC_40], "jobs": jobs}, 2), ({"checks": [VSC_40, failing], "jobs": jobs}, 1)]
         expected = [canonical_body(run_sweep(SweepConfig.from_dict(cfg)).to_json_dict()) for cfg, _ in configs]
@@ -348,10 +375,19 @@ class TestSweep:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):
             SweepConfig.from_dict({"checks": [{"name": "nope", "grid": {"p": [5]}}]})
-        with pytest.raises(ValueError, match="not a parameter"):
+        with pytest.raises(ValueError, match=r"unknown parameters for 'kummer': \['q'\]"):
             SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6], "q": [1]}}]})
-        with pytest.raises(ValueError, match="missing grid keys"):
+        with pytest.raises(ValueError, match=r"missing parameters for 'kummer': \['a', 'r', 's'\]"):
             SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": {"p": [5]}}]})
+        with pytest.raises(ValueError, match="'checks' must be a list"):
+            SweepConfig.from_dict({"checks": {}})
+        for grid in (None, {}, [["p", [5]]]):
+            with pytest.raises(ValueError, match="check 'kummer' needs a nonempty 'grid' object"):
+                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
+        for values in ([], 5, None):
+            grid = {"p": [5], "a": [0], "r": values, "s": [6]}
+            with pytest.raises(ValueError, match=r"grid entry kummer\.r must be a nonempty list"):
+                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
         with pytest.raises(ValueError, match="checks"):
             SweepConfig.from_dict({})
         with pytest.raises(ValueError, match="must be an object"):
@@ -416,11 +452,12 @@ class TestMain:
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert code == 2 and "limit" in json.loads(capsys.readouterr().err)["error"]
 
-    def test_lemma2_kk_is_spelled_k(self):
-        args = build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--k", "5"])
-        assert args.kk == 5
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", "--kk", "5"])
+    def test_lemma2_kk_flag_and_its_abbreviation(self):
+        # every flag is its parameter's name; argparse also takes --k, the
+        # unambiguous abbreviation of --kk, which lemma2 once required
+        for flag in ("--kk", "--k"):
+            args = build_parser().parse_args(["lemma2", "--p", "5", "--a", "1", "--rr", "1", flag, "5"])
+            assert args.kk == 5, flag
 
     def test_corollary2_optional_v(self, capsys):
         code = main(["corollary2", "--p", "5", "--a", "0", "--t", "0", "--b", "6", "--v", "0"])

@@ -8,6 +8,7 @@ from padlab.padic_core import (
     element_order,
     factorize,
     is_odd_prime,
+    is_prime,
     primitive_root,
     reduce_rational,
     roots_of_unity,
@@ -69,6 +70,10 @@ class TestModulus:
     def test_is_odd_prime(self):
         assert is_odd_prime(3) and is_odd_prime(999983)
         assert not is_odd_prime(2) and not is_odd_prime(1) and not is_odd_prime(9)
+
+    def test_is_prime(self):
+        assert is_prime(2) and is_prime(3) and is_prime(97)
+        assert not any(map(is_prime, (-7, 0, 1, 4, 91)))
 
 
 class TestReduceRational:
@@ -171,6 +176,19 @@ class TestFactorize:
         for m in (M25, M125, (7, 2)):
             g = primitive_root(*m)
             assert element_order(g, *m) == unit_group_order(*m)
+
+    def test_primitive_root_lifts_past_a_non_generator_mod_p_squared(self):
+        # 40487 is the least odd prime whose least primitive root, 5, is not
+        # one mod p^2 (5^40486 = 1 mod 40487^2), so the root moves to 5 + p
+        p = 40487
+        assert pow(5, p - 1, p * p) == 1
+        assert primitive_root(p, 1) == 5 and primitive_root(p, 2) == 40492
+        assert element_order(40492, p, 2) == unit_group_order(p, 2)
+
+    def test_factorize_rejects_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError, match="factorize expects a positive integer"):
+                factorize(n)
 
     @pytest.mark.parametrize("m", [M5, M125, (7, 3), (13, 2)])
     def test_unit_group_factors(self, m):

@@ -50,6 +50,11 @@ class TestPowerSumMod:
         # p-block split recurses, so both sides of p*M are drawn
         assert power_sum_mod(*case) == direct_power_sum(*case)
 
+    @pytest.mark.parametrize("n_max,e", [(-1, 2), (5, -1)])
+    def test_negative_arguments_rejected(self, n_max, e):
+        with pytest.raises(ValueError, match="power_sum_mod expects nonnegative bound and exponent"):
+            power_sum_mod(n_max, e, 5, 2)
+
     def test_examples(self):
         assert power_sum_mod(5, 14, 5, 2) == 10
         assert power_sum_mod(5, 0, 5, 2) == 5

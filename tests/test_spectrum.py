@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from padlab.jet import derivative_mod
 from padlab.padic_core import element_order, roots_of_unity
+import padlab.spectrum as spectrum_module
 from padlab.params import ParameterSet
 from padlab.spectrum import (
     ResidueMultiset,
@@ -330,6 +331,16 @@ class TestBalance:
         rep = balance_check(ParameterSet(5, 1, 1, 125), 2)
         assert rep.holds and (rep.lhs, rep.rhs) == ("false", "false")
         assert rep.details == {"balanced": False, "stabilizer_order": 20}
+
+    def test_invalid_j_is_rejected_before_S_is_built(self, monkeypatch):
+        def build_S(ps):
+            raise AssertionError("build_S ran for an invalid j")
+
+        monkeypatch.setattr(spectrum_module, "build_S", build_S)
+        ps = ParameterSet(31, 2, 0, 2 * 31**5)
+        for j in (0, ps.M):
+            with pytest.raises(ValueError, match=rf"^j must satisfy 1 <= j < M = {ps.M}, got {j}$"):
+                balance_check(ps, j)
 
     def test_holds_on_theorem3_grid(self):
         # the benchmark region-map's theorem3 grid, k = p^3 * i for i <= 5,
