@@ -5,16 +5,20 @@ f^(m)(n) has the falling-factorial closed form
     FF(e+, m) * n^(e+ - m)  +  FF(e-, m) * n^(e- - m),
     FF(e, m) = e (e-1) ... (e-m+1) = math.perm(e, m),
 
-evaluated modulo p^cap for the order m >= 0 (m = 0 gives f itself;
-beyond min(e+, e-) a monomial just vanishes); a result of 0 mod p^cap
-reports as ">= cap" (valuations of polynomial values at residue classes
-are minima over the class, so saturation is the honest answer).  On top
-of that sit the valuation claim matrix for f^(m), the first-order Taylor
-truncation check, and the count of near-critical points of f'.
+for the order m >= 0 (m = 0 gives f itself; beyond min(e+, e-) a
+monomial just vanishes).  derivative_values is the one place f and f^(m)
+are evaluated: spectrum's value multisets, lemma5's count and the point
+form derivative_mod all go through it.  A valuation computed mod p^cap
+that meets 0 reports as ">= cap" (valuations of polynomial values at
+residue classes are minima over the class, so saturation is the honest
+answer).  On top of that sit the valuation claim matrix for f^(m), the
+first-order Taylor truncation check, and the count of near-critical
+points of f'.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import perm
 
 from .padic_core import vp
@@ -22,16 +26,22 @@ from .params import ParameterSet, f_exponents
 from .report import MARGIN_WINDOW, CheckReport, rational_margin
 
 
-def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:
-    """f^(m)(n) mod modulus."""
+def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int) -> Iterator[int]:
+    """f^(m)(n) mod modulus for each n in ns, in order.
+
+    The coefficients and exponents are computed once, at call time, as is
+    the check on m; each n then costs two modular powers.  A monomial with
+    m > e has FF(e, m) = 0, so its exponent is clamped at 0, not branched on.
+    """
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
-    e_plus, e_minus = f_exponents(ps)
-    total = 0
-    for e in (e_plus, e_minus):
-        if m <= e:  # otherwise the monomial's m-th derivative is 0
-            total += perm(e, m) * pow(n, e - m, modulus)
-    return total % modulus
+    (c_plus, x_plus), (c_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
+    return ((c_plus * pow(n, x_plus, modulus) + c_minus * pow(n, x_minus, modulus)) % modulus for n in ns)
+
+
+def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:
+    """f^(m)(n) mod modulus."""
+    return next(derivative_values(ps, m, (n,), modulus))
 
 
 def derivative_valuation(ps: ParameterSet, m: int, n: int, cap: int) -> int:
@@ -147,12 +157,9 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
         raise ValueError(f"s must satisfy 0 <= s <= a = {ps.a}, got {s}")
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
-    count = 0
-    for u in range(1, ps.p ** (ps.a + 1) + 1):
-        if u % ps.p == 0:
-            continue
-        if derivative_valuation(ps, 1, u, threshold) >= threshold:
-            count += 1
+    # vp(f'(u)) >= threshold exactly when f'(u) ≡ 0 mod p^threshold
+    units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
+    count = sum(v == 0 for v in derivative_values(ps, 1, units, ps.p**threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

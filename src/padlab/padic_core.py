@@ -97,18 +97,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _primitive_root_mod_p(p: int) -> int:
-    qs = factorize(p - 1)
-    for r in range(2, p):
-        if all(pow(r, (p - 1) // q, p) != 1 for q in qs):
-            return r
-    raise AssertionError(f"no primitive root mod {p}")  # unreachable for prime p
-
-
-@lru_cache(maxsize=None)
 def primitive_root(p: int, M: int) -> int:
     """A generator of the cyclic unit group (Z/p^M)^*."""
-    g = _primitive_root_mod_p(p)
+    g = next(r for r in range(2, p) if element_order(r, p, 1) == p - 1)
     if M > 1 and pow(g, p - 1, p * p) == 1:
         # g generates mod p but not mod p^2; g + p always does (p odd).
         g += p

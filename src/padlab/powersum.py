@@ -35,6 +35,8 @@ def power_sum_mod(n_max: int, e: int, p: int, M: int) -> int:
     """sum_{n=1}^{n_max} n^e mod p^M, in [0, p^M)."""
     if n_max < 0 or e < 0:
         raise ValueError("power_sum_mod expects nonnegative bound and exponent")
+    if M < 1:
+        raise ValueError(f"power_sum_mod expects a modulus exponent M >= 1, got {M}")
     if e == 0:
         return n_max % p**M
     return _power_sum(n_max, e, p, M, {})

@@ -3,7 +3,8 @@ mod p^M, the multiplication action of the unit group on it, and stabilizer
 classification.
 
 build_S collects f(1..p^(a+1)) keeping invertible values only, with
-multiplicity.  theorem1_check verifies that every d-th root of unity
+multiplicity; f itself is evaluated in jet.derivative_values, here as
+everywhere.  theorem1_check verifies that every d-th root of unity
 fixes the multiset; stabilizer computes the full stabilizer subgroup
 (cyclic, so it is determined by the largest stabilizing prime-power
 orders); theorem3_check compares the stabilizer order against d*p^a
@@ -18,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .jet import derivative_mod
+from .jet import derivative_mod, derivative_values
 from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
-from .params import ParameterSet, f_exponents
+from .params import ParameterSet
 from .report import CheckReport
 
 
@@ -65,13 +66,7 @@ class SubgroupDescriptor:
 
 def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
     """The multiset of invertible values f(n) mod p^M over n in ns."""
-    e_plus, e_minus = f_exponents(ps)
-    pM = ps.p**ps.M
-    counts: Counter[int] = Counter()
-    for n in ns:
-        val = (pow(n, e_plus, pM) + pow(n, e_minus, pM)) % pM
-        if val % ps.p != 0:
-            counts[val] += 1
+    counts = Counter(v for v in derivative_values(ps, 0, ns, ps.p**ps.M) if v % ps.p)
     return ResidueMultiset(ps.p, ps.M, dict(counts))
 
 

@@ -1,6 +1,9 @@
 """Independent oracles the tests compare padlab's fast paths against."""
 
-from padlab.padic_core import element_order
+from collections import Counter
+
+from padlab.padic_core import element_order, vp
+from padlab.params import ParameterSet, f_exponents
 from padlab.spectrum import ResidueMultiset, SubgroupDescriptor, act
 
 
@@ -35,3 +38,22 @@ def j_balanced_brute_force(s: ResidueMultiset, j: int) -> bool:
         if len(fiber) != 1:
             return False
     return True
+
+
+def f_multiset_exact(ps: ParameterSet, ns: range) -> Counter:
+    """The invertible values f(n) mod p^M over n in ns, with multiplicity,
+    from exact integer powers; the reference for build_S and build_S_x at
+    exponents small enough to expand."""
+    e_plus, e_minus = f_exponents(ps)
+    values = ((n**e_plus + n**e_minus) % ps.p**ps.M for n in ns)
+    return Counter(v for v in values if v % ps.p)
+
+
+def lemma5_count_exact(ps: ParameterSet, s: int) -> int:
+    """The units u <= p^(a+1) with vp(f'(u)) >= 2a+2t+s+1, counted from the
+    exact integer f'(u) (positive, so its valuation is finite); the
+    reference for lemma5_count's count of zeros mod p^(2a+2t+s+1)."""
+    e_plus, e_minus = f_exponents(ps)
+    threshold = 2 * ps.a + 2 * ps.t + s + 1
+    units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
+    return sum(vp(e_plus * u ** (e_plus - 1) + e_minus * u ** (e_minus - 1), ps.p) >= threshold for u in units)

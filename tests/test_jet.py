@@ -1,17 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padlab.cli import run_check
 from padlab.jet import (
     corollary3_check,
     derivative_mod,
     derivative_valuation,
+    derivative_values,
     lemma4_check,
     lemma5_count,
 )
 from padlab.params import ParameterSet, f_exponents
 from padlab.report import MARGIN_WINDOW
+
+from oracles import lemma5_count_exact
 
 PS = ParameterSet(5, 0, 0, 10)  # f = x^14 + x^6
 PS_T1 = ParameterSet(5, 0, 1, 10)  # f = x^70 + x^30, v=0 < t=1
@@ -66,6 +71,8 @@ class TestDerivative:
         assert derivative_mod(PS, 0, 2, 5**6) == (2**14 + 2**6) % 5**6
         with pytest.raises(ValueError, match="nonnegative"):
             derivative_mod(PS, -1, 1, 5**6)
+        with pytest.raises(ValueError, match="nonnegative"):
+            derivative_values(PS, -1, range(1, 4), 5**6)  # at the call, before any value is drawn
 
     def test_matches_polynomial_differentiation(self):
         rng = random.Random(7)
@@ -77,6 +84,25 @@ class TestDerivative:
                     n = rng.randint(1, 30)
                     big = ps.p**10
                     assert derivative_mod(ps, m, n, big) == poly_eval(terms, n) % big
+
+    # t >= 1, and a = 0 with k = p, where e- = p^t: at t = 0 the orders
+    # m = 2, 3 exceed e- = 1 and that monomial vanishes
+    @given(
+        st.sampled_from([(5, 0, 0, 5), (3, 0, 0, 3), (5, 0, 1, 5), (3, 0, 2, 3), (5, 0, 1, 10), (5, 1, 1, 125)]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-20, max_value=40),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_values_over_a_range_match_points(self, args, m, start, length, step, cap):
+        ps = ParameterSet(*args)
+        ns = range(start, start + length * step, step)
+        modulus = ps.p**cap
+        terms = poly_derivative([(1, e) for e in f_exponents(ps)], m)
+        values = list(derivative_values(ps, m, ns, modulus))
+        assert values == [derivative_mod(ps, m, n, modulus) for n in ns]
+        assert values == [poly_eval(terms, n) % modulus for n in ns]
 
 
 class TestLemma4:
@@ -196,6 +222,12 @@ class TestLemma5:
         assert lemma5_count(ps, 0).lhs == "20"
         assert lemma5_count(ps, 1).lhs == "4"
         assert lemma5_count(ps, 0).holds and lemma5_count(ps, 1).holds
+
+    @pytest.mark.parametrize("args", [(5, 0, 0, 10), (7, 0, 0, 14), (5, 0, 1, 25), (5, 1, 0, 250), (3, 1, 1, 81), (5, 1, 1, 625)])
+    def test_matches_exact_valuations(self, args):
+        ps = ParameterSet(*args)
+        for s in range(ps.a + 1):
+            assert lemma5_count(ps, s).details["count"] == lemma5_count_exact(ps, s), s
 
     def test_requires_v_equal_t(self):
         with pytest.raises(ValueError, match="v = t"):

@@ -55,6 +55,11 @@ class TestPowerSumMod:
         with pytest.raises(ValueError, match="power_sum_mod expects nonnegative bound and exponent"):
             power_sum_mod(n_max, e, 5, 2)
 
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_nonpositive_modulus_exponent_rejected(self, M):
+        with pytest.raises(ValueError, match="M >= 1"):
+            power_sum_mod(10, 3, 5, M)
+
     def test_examples(self):
         assert power_sum_mod(5, 14, 5, 2) == 10
         assert power_sum_mod(5, 0, 5, 2) == 5

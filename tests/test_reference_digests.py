@@ -2,10 +2,11 @@
 
 perfbench/reference.json holds one canonical digest per point of each
 benchmark workload's pool (every point any seed can pick), made at a commit
-whose verdicts are trusted.  Re-running the bernoulli-cold, region-map and
-powersum-wall pools here turns "canonical output unchanged" into a Tier-1
-check: a change to any lhs, rhs, margin, verdict, detail or error text fails
-it, naming the first point that moved.  perfbench/ is only read, never
+whose verdicts are trusted.  Re-running all four pools here turns
+"canonical output unchanged" into a Tier-1 check: a change to any lhs, rhs,
+margin, verdict, detail or error text fails it, naming the first point that
+moved.  orbit-wall, the one pool of the orbit checkers at 1.5e4-3e4 terms,
+takes about 45 s of the run on a 2-vCPU host.  perfbench/ is only read, never
 imported as a package, as in test_tracer_names.py.
 """
 
@@ -35,7 +36,7 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", ["bernoulli-cold", "region-map", "powersum-wall"])
+@pytest.mark.parametrize("workload", ["bernoulli-cold", "region-map", "powersum-wall", "orbit-wall"])
 def test_pool_matches_reference(workload):
     workloads = _load_workloads()
     ref = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][workload]

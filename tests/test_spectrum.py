@@ -24,7 +24,7 @@ from padlab.spectrum import (
     transport_check,
 )
 
-from oracles import j_balanced_brute_force, stabilizer_brute_force
+from oracles import f_multiset_exact, j_balanced_brute_force, stabilizer_brute_force
 
 PS = ParameterSet(5, 0, 0, 10)
 M25 = (5, 2)
@@ -76,6 +76,14 @@ class TestBuildS:
             for x in range(1, ps.p):
                 union.update(build_S_x(ps, x).counts)
             assert dict(union) == build_S(ps).counts
+
+    @pytest.mark.parametrize("args", [(5, 0, 0, 5), (5, 0, 1, 10), (3, 0, 2, 3), (5, 1, 0, 125), (7, 1, 1, 343)])
+    def test_matches_exact_powers(self, args):
+        ps = ParameterSet(*args)
+        top = ps.p ** (ps.a + 1)
+        assert build_S(ps).counts == f_multiset_exact(ps, range(1, top + 1))
+        for x in range(1, ps.p):
+            assert build_S_x(ps, x).counts == f_multiset_exact(ps, range(x, top + 1, ps.p))
 
     def test_restricted_total(self):
         ps = ParameterSet(5, 1, 0, 125)
