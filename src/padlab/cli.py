@@ -13,12 +13,16 @@ stamps the wall-clock elapsed_ms on every report it returns, errored ones
 included.  It runs each checker with Python's 4300-digit limit on int <->
 str conversion lifted, so no verdict depends on the pool's start method.
 run_sweep expands each check's grid as a Cartesian product in
-sorted parameter order, so report order is deterministic regardless of
-the parallelism degree.  A pool never has more workers than points, and
-it sends them chunks of max(1, len(points) // (8 * workers)) points, so
-IPC is paid per chunk, not per point.  Serial or pooled, each process
-grows its own Bernoulli table lazily, only as far as the points it runs
-read.
+sorted parameter order and yields the points' reports in that order as
+they are ready, so report order is deterministic regardless of the
+parallelism degree.  A pool never has more workers than points or than
+the CPUs this process may run on, and it sends them chunks of
+max(1, len(points) // (8 * workers)) points, so IPC is paid per chunk,
+not per point.  Serial or pooled, each process grows its own Bernoulli
+table lazily, only as far as the points it runs read.  write_sweep is
+the sweep file's one layout: main streams the reports into --out one at
+a time, so it never holds the whole sweep, and SweepReport.collect
+gathers one in memory for library callers.
 
 main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
@@ -36,11 +40,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import itertools
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from contextlib import closing
+from dataclasses import asdict, dataclass
 from types import ModuleType
 
 from . import __version__, bernoulli, congruence_suite, jet, powersum, spectrum
@@ -178,10 +186,10 @@ class SweepConfig:
         return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
 
 
-def _exit_code(reports: list[CheckReport]) -> int:
-    """1 if any report failed, else 2 if any errored, else 0."""
-    statuses = {r.status for r in reports}
-    return 1 if "failed" in statuses else 2 if "errored" in statuses else 0
+def _exit_code(summary: dict) -> int:
+    """1 if any report failed, else 2 if any errored, else 0; `summary`
+    maps a status to its count and may leave out statuses that are 0."""
+    return 1 if summary.get("failed") else 2 if summary.get("errored") else 0
 
 
 def _is_int(value) -> bool:
@@ -196,26 +204,47 @@ def _jobs(value) -> int:
 
 @dataclass
 class SweepReport:
+    """A whole sweep in memory, for library callers and tests.  The CLI
+    streams the same file through write_sweep without one."""
+
     config: dict
     reports: list[CheckReport]
-    summary: dict = field(init=False)
 
-    def __post_init__(self):
-        statuses = [r.status for r in self.reports]
-        counts = {s: statuses.count(s) for s in ("held", "failed", "errored")}
-        self.summary = {"total": len(statuses), **counts}
+    @classmethod
+    def collect(cls, config: SweepConfig) -> "SweepReport":
+        return cls(config=asdict(config), reports=list(run_sweep(config)))
+
+    @property
+    def summary(self) -> dict:
+        return write_sweep(io.StringIO(), self.config, self.reports)
 
     def exit_code(self) -> int:
-        return _exit_code(self.reports)
+        return _exit_code(self.summary)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tool": "padlab",
-            "version": __version__,
-            "config": self.config,
-            "reports": [r.to_json_dict() for r in self.reports],
-            "summary": self.summary,
-        }
+        """The sweep file's object, read back from what write_sweep writes."""
+        buf = io.StringIO()
+        write_sweep(buf, self.config, self.reports)
+        return json.loads(buf.getvalue())
+
+
+def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[CheckReport]) -> dict:
+    """Write a sweep file to fh one report at a time, as `reports` yields
+    them, and return its summary.  This is the file's one layout: a line of
+    compact JSON with sorted keys (config, reports, summary, tool, version),
+    byte for byte what json.dumps(obj, sort_keys=True) + "\\n" gives for the
+    whole object; only the summary, which counts the reports, follows them."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
+    counts = dict.fromkeys(("held", "failed", "errored"), 0)
+    fh.write(f'{{"config": {encode(config)}, "reports": [')
+    sep = ""
+    for report in reports:
+        counts[report.status] += 1
+        fh.write(sep + encode(report.to_json_dict()))
+        sep = ", "
+    summary = {"total": sum(counts.values()), **counts}
+    fh.write(f'], "summary": {encode(summary)}, "tool": "padlab", "version": {encode(__version__)}}}\n')
+    return summary
 
 
 def grid_points(config: SweepConfig):
@@ -231,20 +260,30 @@ def _run_point(point: tuple[str, dict]) -> CheckReport:
     return run_check(point[0], point[1])
 
 
-def run_sweep(config: SweepConfig) -> SweepReport:
-    points = list(grid_points(config))
-    # a fork pool starts all its workers at once, however few points there are
-    workers = min(config.jobs, len(points))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
+def _cpus() -> int:
+    """The number of CPUs this process may run on, or on the machine where
+    the OS has no affinity API (macOS, Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(points) // (8 * workers))
-            reports = list(pool.map(_run_point, points, chunksize=chunk))
-    else:
-        reports = [_run_point(pt) for pt in points]
-    raw_config = {"checks": config.checks, "jobs": config.jobs}
-    return SweepReport(config=raw_config, reports=reports)
+
+def run_sweep(config: SweepConfig) -> Iterator[CheckReport]:
+    """Yield the report of each grid point, in grid order, as it is ready.
+    Closing the generator early cancels the chunks no worker has started
+    and joins the pool."""
+    points = list(grid_points(config))
+    # a fork pool starts all its workers at once, however few points or CPUs there are
+    workers = min(config.jobs, len(points), _cpus())
+    if workers < 2:
+        yield from map(_run_point, points)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        chunk = max(1, len(points) // (8 * workers))
+        yield from pool.map(_run_point, points, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def canonical_body(report_dict: dict) -> dict:
@@ -318,18 +357,17 @@ def _run_command(args: argparse.Namespace, config: SweepConfig | None) -> int:
         return 0
 
     if cmd == "sweep":
-        # opened before the grid runs, so an unwritable path costs no checks
-        with open(args.out, "w", encoding="utf-8") as fh:
-            sweep = run_sweep(config)
-            # the C encoder: indent=2 would force the pure-Python one
-            fh.write(json.dumps(sweep.to_json_dict(), sort_keys=True) + "\n")
-        print(_dump({"out": args.out, "summary": sweep.summary}))
-        return sweep.exit_code()
+        # opened before the grid runs, so an unwritable path costs no checks;
+        # a failed write closes the reports, which shuts the pool down
+        with open(args.out, "w", encoding="utf-8") as fh, closing(run_sweep(config)) as reports:
+            summary = write_sweep(fh, asdict(config), reports)
+        print(_dump({"out": args.out, "summary": summary}))
+        return _exit_code(summary)
 
     record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     report = run_check(cmd, record)
     print(_dump(report.to_json_dict()))
-    return _exit_code([report])
+    return _exit_code({report.status: 1})
 
 
 def entrypoint() -> None:

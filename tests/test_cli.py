@@ -22,6 +22,8 @@ from padlab.congruence_suite import case1_step_check
 from padlab.cli import (
     REGISTRY,
     SweepConfig,
+    SweepReport,
+    _cpus,
     build_parser,
     canonical_body,
     grid_points,
@@ -60,6 +62,26 @@ def _fork_pool(monkeypatch):
     method, so the workers inherit spies that a test set in this process."""
     pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+
+
+@pytest.fixture(autouse=True)
+def _four_cpus(monkeypatch):
+    """Give run_sweep four CPUs, so that grids with jobs 2 to 4 are pooled
+    on any host; tests of the CPU cap patch it again."""
+    monkeypatch.setattr("padlab.cli._cpus", lambda: 4)
+
+
+def _spawn_spy(monkeypatch) -> list[int]:
+    """Record the max_workers of each pool as it starts a worker process."""
+    spawned = []
+    spawn = ProcessPoolExecutor._spawn_process
+
+    def spy(pool):
+        spawned.append(pool._max_workers)
+        spawn(pool)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", spy)
+    return spawned
 
 
 # a holding corollary3 point whose sides have 4473 digits, more than the
@@ -206,19 +228,19 @@ SWEEP_CONFIGS = {
 
 class TestSweep:
     def test_kummer_grid(self):
-        sweep = run_sweep(SweepConfig.from_dict(KUMMER_GRID))
+        sweep = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID))
         assert sweep.summary == {"total": 3, "held": 3, "failed": 0, "errored": 0}
         assert sweep.exit_code() == 0
 
     def test_empty_config(self):
-        sweep = run_sweep(SweepConfig.from_dict({"checks": []}))
+        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": []}))
         assert sweep.summary == {"total": 0, "held": 0, "failed": 0, "errored": 0}
 
     def test_invalid_point_isolated(self):
         cfg = SweepConfig.from_dict(
             {"checks": [{"name": "lemma2", "grid": {"p": [5], "a": [1], "rr": [1], "kk": [4, 5, 10]}}]}
         )
-        sweep = run_sweep(cfg)
+        sweep = SweepReport.collect(cfg)
         assert sweep.summary == {"total": 3, "held": 2, "failed": 0, "errored": 1}
         assert sweep.exit_code() == 2
 
@@ -241,42 +263,108 @@ class TestSweep:
         errored = {"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}
         for jobs in (1, 2):
             monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
-            sweep = run_sweep(SweepConfig.from_dict({"checks": [errored], "jobs": jobs}))
+            sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [errored], "jobs": jobs}))
             assert sweep.summary["errored"] == 2
             assert not log.exists(), jobs
         # positive control: a pooled kummer point grows its worker's table
         # to B_2 and B_6 while the parent's table stays as it was
         kummer = {"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}
-        sweep = run_sweep(SweepConfig.from_dict({"checks": [errored, kummer], "jobs": 2}))
+        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [errored, kummer], "jobs": 2}))
         assert sweep.summary == {"total": 3, "held": 1, "failed": 0, "errored": 2}
         assert log.read_text() == "2\n6\n"
         assert len(bernoulli_module._TABLE) == 2
 
     def test_pool_starts_no_more_workers_than_points(self, monkeypatch):
         # a fork pool starts max_workers processes at once, however few points
-        spawned = []
-        spawn = ProcessPoolExecutor._spawn_process
-
-        def spy(pool):
-            spawned.append(pool._max_workers)
-            spawn(pool)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", spy)
+        spawned = _spawn_spy(monkeypatch)
+        monkeypatch.setattr("padlab.cli._cpus", lambda: 8)
         one = {"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}], "jobs": 4}
-        sweep = run_sweep(SweepConfig.from_dict(one))
+        sweep = SweepReport.collect(SweepConfig.from_dict(one))
         assert spawned == [] and sweep.summary["held"] == 1
         assert sweep.config["jobs"] == 4
         three = {**KUMMER_GRID, "jobs": 4}
-        sweep = run_sweep(SweepConfig.from_dict(three))
+        sweep = SweepReport.collect(SweepConfig.from_dict(three))
         assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 4
         # fork, the default start method on Linux, starts all three at once
         assert spawned == [3] * len(spawned) and 1 <= len(spawned) <= 3
+
+    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch):
+        # so --jobs 100000 cannot fork 10^5 processes; the echoed jobs stays
+        spawned = _spawn_spy(monkeypatch)
+        monkeypatch.setattr("padlab.cli._cpus", lambda: 2)
+        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 100_000}))
+        assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 100_000
+        assert spawned == [2] * len(spawned) and 1 <= len(spawned) <= 2
+        monkeypatch.setattr("padlab.cli._cpus", lambda: 1)
+        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 100_000}))
+        assert sweep.summary["held"] == 3 and len(spawned) <= 2
+
+    def test_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpus() == 1
+
+    def test_sweep_yields_each_report_as_it_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("padlab.cli.run_check", lambda *a: calls.append(a) or run_check(*a))
+        reports = run_sweep(SweepConfig.from_dict(KUMMER_GRID))
+        assert calls == []
+        assert next(reports).status == "held" and len(calls) == 1
+        reports.close()
+
+    def test_closing_a_pooled_sweep_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
+        # 800 points of 1 ms in 16 chunks of 50: closing the generator after
+        # the first report waits only for the few chunks a worker has taken
+        _fork_pool(monkeypatch)
+        log = tmp_path / "runs.log"
+
+        def slow(name, args):
+            time.sleep(0.001)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(".")
+            return run_check(name, args)
+
+        monkeypatch.setattr("padlab.cli.run_check", slow)
+        grid = {k: [v] for k, v in POINTS["lemma4"].items()} | {"n": list(range(1, 801))}
+        reports = run_sweep(SweepConfig.from_dict({"checks": [{"name": "lemma4", "grid": grid}], "jobs": 2}))
+        next(reports)
+        reports.close()
+        assert multiprocessing.active_children() == []
+        assert len(log.read_text()) <= 400
+
+    @pytest.mark.parametrize("name, jobs", [("acceptance-sweep", 1), ("region-map-seed-7", 2), ("empty", 1)])
+    def test_streamed_file_is_the_whole_sweep_dumped(self, monkeypatch, tmp_path, capsys, name, jobs):
+        # one list of reports, streamed by main and dumped whole as before
+        raw = {"checks": []} if name == "empty" else SWEEP_CONFIGS[name]()
+        config = SweepConfig.from_dict({**raw, "jobs": jobs})
+        reports = list(run_sweep(config))
+        statuses = [r.status for r in reports]
+        whole = {
+            "tool": "padlab",
+            "version": padlab.__version__,
+            "config": {"checks": config.checks, "jobs": jobs},
+            "reports": [r.to_json_dict() for r in reports],
+            "summary": {"total": len(reports), **{s: statuses.count(s) for s in ("held", "failed", "errored")}},
+        }
+        expected = json.dumps(whole, sort_keys=True) + "\n"
+        assert json.dumps(SweepReport(whole["config"], reports).to_json_dict(), sort_keys=True) + "\n" == expected
+        cfg, out_path = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({**raw, "jobs": jobs}))
+        monkeypatch.setattr("padlab.cli.run_sweep", lambda config: (r for r in reports))
+        main(["sweep", "--config", str(cfg), "--out", str(out_path)])
+        assert out_path.read_text() == expected
+        if name == "empty":
+            assert '"reports": []' in expected
 
     def test_failed_point_gives_exit_1(self):
         cfg = SweepConfig.from_dict(
             {"checks": [{"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2, 4]}}]}
         )
-        sweep = run_sweep(cfg)
+        sweep = SweepReport.collect(cfg)
         assert sweep.summary["failed"] == 1
         assert sweep.exit_code() == 1
 
@@ -289,8 +377,8 @@ class TestSweep:
         assert [(pt[1]["p"], pt[1]["s"]) for pt in points] == [(5, 6), (5, 26), (7, 6), (7, 26)]
 
     def test_determinism_canon(self):
-        one = run_sweep(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
-        two = run_sweep(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
+        one = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
+        two = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
         assert json.dumps(canonical_body(one), sort_keys=True) == json.dumps(
             canonical_body(two), sort_keys=True
         )
@@ -300,8 +388,8 @@ class TestSweep:
         cfg = SWEEP_CONFIGS[name]()
         serial, pooled = SweepConfig.from_dict(cfg), SweepConfig.from_dict(cfg)
         serial.jobs, pooled.jobs = 1, 2
-        body = canonical_body(run_sweep(serial).to_json_dict())
-        assert body == canonical_body(run_sweep(pooled).to_json_dict())
+        body = canonical_body(SweepReport.collect(serial).to_json_dict())
+        assert body == canonical_body(SweepReport.collect(pooled).to_json_dict())
         if name == "region-map-seed-7":
             # chunks of 10488 // 16 = 655 points
             assert body["summary"]["total"] == 10488
@@ -316,9 +404,9 @@ class TestSweep:
             return pool_map(pool, fn, *iterables, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
-        sweep = run_sweep(SweepConfig.from_dict({"checks": [VSC_40], "jobs": 2}))
+        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [VSC_40], "jobs": 2}))
         assert sweep.summary["held"] == 40
-        sweep = run_sweep(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 2}))
+        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 2}))
         assert sweep.summary["held"] == 3
         assert chunksizes == [2, 1]
 
@@ -331,7 +419,7 @@ class TestSweep:
         _fork_pool(monkeypatch)
         failing = {"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2]}}
         configs = [({"checks": [VSC_40], "jobs": jobs}, 2), ({"checks": [VSC_40, failing], "jobs": jobs}, 1)]
-        expected = [canonical_body(run_sweep(SweepConfig.from_dict(cfg)).to_json_dict()) for cfg, _ in configs]
+        expected = [canonical_body(SweepReport.collect(SweepConfig.from_dict(cfg)).to_json_dict()) for cfg, _ in configs]
         original = bernoulli_module.von_staudt_clausen_check
 
         def raising(n):
@@ -341,7 +429,7 @@ class TestSweep:
 
         monkeypatch.setattr(bernoulli_module, "von_staudt_clausen_check", raising)
         for (cfg, code), clean in zip(configs, expected):
-            sweep = run_sweep(SweepConfig.from_dict(cfg))
+            sweep = SweepReport.collect(SweepConfig.from_dict(cfg))
             reports = canonical_body(sweep.to_json_dict())["reports"]
             errored = [i for i, r in enumerate(reports) if r["error"] is not None]
             assert errored == [19]
@@ -355,11 +443,11 @@ class TestSweep:
         # so a spawn or forkserver pool shows whether run_check lifts it itself
         grid = {k: [v] for k, v in BIG_SIDES.items()} | {"s0": [2, 3]}
         raw = {"checks": [{"name": "corollary3", "grid": grid}], "jobs": 2}
-        serial = canonical_body(run_sweep(SweepConfig.from_dict({**raw, "jobs": 1})).to_json_dict())
+        serial = canonical_body(SweepReport.collect(SweepConfig.from_dict({**raw, "jobs": 1})).to_json_dict())
         context = multiprocessing.get_context(method)
         pool = functools.partial(ProcessPoolExecutor, mp_context=context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        sweep = run_sweep(SweepConfig.from_dict(raw))
+        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
         assert sweep.summary == {"total": 2, "held": 2, "failed": 0, "errored": 0}
         assert canonical_body(sweep.to_json_dict()) == serial
 
@@ -367,7 +455,7 @@ class TestSweep:
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
         # (11,2,2) and (7,2,2); the summary pins every verdict
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "heavy_sweep.json").read_text())
-        sweep = run_sweep(SweepConfig.from_dict(raw))
+        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
         assert sweep.summary == {"total": 10, "held": 10, "failed": 0, "errored": 0}
         assert [r.margin for r in sweep.reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
         assert [r.details["sum_valuation"] for r in sweep.reports[-3:]] == [12, 14, 14]
@@ -503,6 +591,22 @@ class TestMain:
         assert body["summary"]["held"] == 3
         assert body["tool"] == "padlab"
         assert [r["name"] for r in body["reports"]] == ["kummer"] * 3
+
+    def test_pooled_sweep_joins_its_workers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [VSC_40]}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json"), "--jobs", "2"]) == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_sweep_write_error_exits_2_and_stops_the_pool(self, tmp_path, capsys):
+        # 400 reports pass the write buffer, so the write fails mid-sweep
+        cfg = tmp_path / "cfg.json"
+        grid = {k: [v] for k, v in POINTS["lemma4"].items()} | {"n": list(range(1, 401))}
+        cfg.write_text(json.dumps({"checks": [{"name": "lemma4", "grid": grid}], "jobs": 2}))
+        code = main(["sweep", "--config", str(cfg), "--out", "/dev/full"])
+        assert code == 2 and "No space left" in json.loads(capsys.readouterr().err)["error"]
+        assert multiprocessing.active_children() == []
 
     def test_sweep_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
