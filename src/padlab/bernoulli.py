@@ -12,8 +12,6 @@ serves as an independent cross-check, and adams_check reports the
 p-integrality of B_r/r for (p-1) ∤ r.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .padic_core import is_odd_prime, is_prime

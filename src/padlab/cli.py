@@ -2,8 +2,11 @@
 
 Every checker is registered by name with its module and function; the
 function's signature is the only statement of its parameters, a leading
-`ps` standing for p, a, t, k.  The CLI subcommands and the sweep-grid
-keys are derived from it.  run_check dispatches a flat {param: int}
+`ps` standing for p, a, t, k.  The registry reads the required and the
+defaulted parameter names off the function's code object (__code__ and
+__defaults__), and rejects at registration a checker whose parameters a
+flat {param: int} record cannot bind by name.  The CLI subcommands and
+the sweep-grid keys are derived from it.  run_check dispatches such a
 record and turns math-level ValueErrors and ArithmeticErrors, as well as
 RecursionErrors and MemoryErrors, into errored reports (unknown names or
 parameters raise instead, by the rule _checker states for run_check and
@@ -32,14 +35,19 @@ are parsed under the 4300-digit limit; then main lifts it until it
 returns, so results print at any length.  Every subcommand but bernoulli
 and sweep is a registered checker, such as spectrum.balance_check.
 
+A command line is parsed by a parser that holds only the subcommand it
+names (build_parser), so a call builds one subparser, not all of them;
+with no command, a help flag or an unknown name the parser holds every
+subcommand, and argparse's help text and usage errors are unchanged.
+Importing this module loads padlab, argparse, json and fractions and
+nothing they do not load themselves: no inspect, no dataclasses, and no
+process pool until a sweep starts one.
+
 Exit codes: 0 all hold, 1 at least one violation, 2 configuration or
 parameter errors only.
 """
 
-from __future__ import annotations
-
 import argparse
-import inspect
 import io
 import itertools
 import json
@@ -47,34 +55,43 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from contextlib import closing
-from dataclasses import asdict, dataclass
 from types import ModuleType
 
 from . import __version__, bernoulli, congruence_suite, jet, powersum, spectrum
 from .params import ParameterSet
-from .report import CheckReport
+from .report import CheckReport, Record
+
+_VARIADIC = 0x04 | 0x08  # CO_VARARGS | CO_VARKEYWORDS in a code object's co_flags
 
 
-_PS_FIELDS = tuple(inspect.signature(ParameterSet).parameters)  # p, a, t, k
+def _parameters(fn) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """fn's required and defaulted parameter names, read off its code
+    object.  A TypeError for *args, **kwargs, keyword-only or
+    positional-only parameters, which a call by name from a flat
+    {param: int} record would misread."""
+    code = fn.__code__
+    if code.co_flags & _VARIADIC or code.co_kwonlyargcount or code.co_posonlyargcount:
+        raise TypeError(f"{fn.__qualname__} must take only positional-or-keyword parameters")
+    names = code.co_varnames[: code.co_argcount]
+    split = len(names) - len(fn.__defaults__ or ())
+    return names[:split], names[split:]
 
 
-@dataclass
+_PS_FIELDS = _parameters(ParameterSet.__init__)[0][1:]  # p, a, t, k after self
+
+
 class CheckerSpec:
     """The checker function `fn` of `module`; its signature is the only
     statement of the checker's parameters.  Required parameters become
     `params` (a leading `ps` stands for ParameterSet's p, a, t, k) and
     defaulted ones `optional`."""
 
-    module: ModuleType
-    fn: str
-
-    def __post_init__(self):
-        sig = inspect.signature(getattr(self.module, self.fn)).parameters.values()
-        required = [q.name for q in sig if q.default is q.empty]
-        self.ps_first = required[:1] == ["ps"]
-        self.params = (*_PS_FIELDS, *required[1:]) if self.ps_first else tuple(required)
-        self.optional = tuple(q.name for q in sig if q.default is not q.empty)
+    def __init__(self, module: ModuleType, fn: str):
+        self.module = module
+        self.fn = fn
+        required, self.optional = _parameters(getattr(module, fn))
+        self.ps_first = required[:1] == ("ps",)
+        self.params = (*_PS_FIELDS, *required[1:]) if self.ps_first else required
 
     def run(self, args: dict) -> CheckReport:
         # looked up per call, so a rebound module attribute (a tracer's
@@ -152,10 +169,10 @@ def _without_digit_limit(fn, *args):
 # sweeps
 
 
-@dataclass
-class SweepConfig:
-    checks: list[dict]  # each {"name": str, "grid": {param: [values]}}
-    jobs: int = 1
+class SweepConfig(Record):
+    def __init__(self, checks: list[dict], jobs: int = 1):
+        self.checks = checks  # each {"name": str, "grid": {param: [values]}}
+        self.jobs = jobs
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -185,6 +202,10 @@ class SweepConfig:
                     raise ValueError(f"grid entry {name}.{key} must list integers, got {values!r}")
         return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
 
+    def as_dict(self) -> dict:
+        """The config as a sweep file echoes it."""
+        return {"checks": self.checks, "jobs": self.jobs}
+
 
 def _exit_code(summary: dict) -> int:
     """1 if any report failed, else 2 if any errored, else 0; `summary`
@@ -202,17 +223,17 @@ def _jobs(value) -> int:
     return value
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """A whole sweep in memory, for library callers and tests.  The CLI
     streams the same file through write_sweep without one."""
 
-    config: dict
-    reports: list[CheckReport]
+    def __init__(self, config: dict, reports: list[CheckReport]):
+        self.config = config
+        self.reports = reports
 
     @classmethod
     def collect(cls, config: SweepConfig) -> "SweepReport":
-        return cls(config=asdict(config), reports=list(run_sweep(config)))
+        return cls(config.as_dict(), list(run_sweep(config)))
 
     @property
     def summary(self) -> dict:
@@ -308,34 +329,42 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The padlab parser with only the subcommand `command`, if that names
+    one; else, as with no command or a help flag, with all of them."""
     parser = argparse.ArgumentParser(
         prog="padlab",
         description="Exact verification of congruences between power sums, "
         "Bernoulli numbers, and unit-group orbits modulo odd prime powers.",
     )
     parser.add_argument("--version", action="version", version=f"padlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, spec in REGISTRY.items():
-        sp = sub.add_parser(name, help=f"run the {name} checker")
-        for param in spec.params + spec.optional:
-            sp.add_argument(f"--{param}", type=int, required=param in spec.params)
-
-    sp = sub.add_parser("bernoulli", help="print B_n as numerator/denominator")
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("sweep", help="run a grid of checks from a JSON config")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--jobs", type=int, default=None)
-
+    names, metavar = [*REGISTRY, "bernoulli", "sweep"], None
+    if command in names:
+        # the usage line argparse derives from every name, which errors
+        # such as an unrecognized flag print
+        names, metavar = [command], "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        if name == "bernoulli":
+            sp = sub.add_parser(name, help="print B_n as numerator/denominator")
+            sp.add_argument("--n", type=int, required=True)
+        elif name == "sweep":
+            sp = sub.add_parser(name, help="run a grid of checks from a JSON config")
+            sp.add_argument("--config", required=True)
+            sp.add_argument("--out", required=True)
+            sp.add_argument("--jobs", type=int, default=None)
+        else:
+            spec = REGISTRY[name]
+            sp = sub.add_parser(name, help=f"run the {name} checker")
+            for param in spec.params + spec.optional:
+                sp.add_argument(f"--{param}", type=int, required=param in spec.params)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         config = None
         if args.command == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -359,8 +388,12 @@ def _run_command(args: argparse.Namespace, config: SweepConfig | None) -> int:
     if cmd == "sweep":
         # opened before the grid runs, so an unwritable path costs no checks;
         # a failed write closes the reports, which shuts the pool down
-        with open(args.out, "w", encoding="utf-8") as fh, closing(run_sweep(config)) as reports:
-            summary = write_sweep(fh, asdict(config), reports)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            reports = run_sweep(config)
+            try:
+                summary = write_sweep(fh, config.as_dict(), reports)
+            finally:
+                reports.close()
         print(_dump({"out": args.out, "summary": summary}))
         return _exit_code(summary)
 

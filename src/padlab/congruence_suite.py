@@ -21,8 +21,6 @@ unsaturated margin and sum_valuation of its exact sum, read from residues
 mod p^K with K doubled until the sum is nonzero.
 """
 
-from __future__ import annotations
-
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime_gt3, vp
 from .params import ParameterSet

@@ -16,8 +16,6 @@ first-order Taylor truncation check, and the count of near-critical
 points of f'.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 from math import perm
 

@@ -8,8 +8,6 @@ element orders and roots of unity.  Everything is big-integer exact;
 there is no floating point anywhere.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt

@@ -10,47 +10,42 @@ checkers test first with check_strong.  Derived fields:
     M      = 3a + t + v + 2          (the working modulus exponent)
     kprime = k / p^vp(k)             (the prime-to-p part of k)
 
-The exponent pair of f(n) = n^((k+p^a(p-1))p^t) + n^((k-p^a(p-1))p^t)
-comes from f_exponents.
+A ParameterSet is immutable, and equal to and hashed like any other with
+the same (p, a, t, k).  The exponent pair of
+f(n) = n^((k+p^a(p-1))p^t) + n^((k-p^a(p-1))p^t) comes from f_exponents.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from math import gcd
 
 from .padic_core import is_odd_prime, vp
+from .report import Record
 
 
-@dataclass(frozen=True)
-class ParameterSet:
-    """(p, a, t, k) with p an odd prime, a,t >= 0, and p^(2a+1) | k."""
+class ParameterSet(Record):
+    """(p, a, t, k) with p an odd prime, a,t >= 0, and p^(2a+1) | k;
+    immutable, and equal and hashed by (p, a, t, k)."""
 
-    p: int
-    a: int
-    t: int
-    k: int
-    d: int = field(init=False)
-    v: int = field(init=False)
-    M: int = field(init=False)
-    kprime: int = field(init=False)
-
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p = {self.p} is not an odd prime")
-        if self.a < 0 or self.t < 0:
+    def __init__(self, p: int, a: int, t: int, k: int):
+        if not is_odd_prime(p):
+            raise ValueError(f"p = {p} is not an odd prime")
+        if a < 0 or t < 0:
             raise ValueError("a and t must be nonnegative")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if self.k % self.p ** (2 * self.a + 1) != 0:
-            raise ValueError(
-                f"k = {self.k} is not divisible by p^(2a+1) = {self.p ** (2 * self.a + 1)}"
-            )
-        vk = vp(self.k, self.p)
-        object.__setattr__(self, "d", (self.p - 1) // gcd(self.k, self.p - 1))
-        object.__setattr__(self, "v", min(vk - 2 * self.a - 1, self.t))
-        object.__setattr__(self, "M", 3 * self.a + self.t + self.v + 2)
-        object.__setattr__(self, "kprime", self.k // self.p**vk)
+        if k % p ** (2 * a + 1) != 0:
+            raise ValueError(f"k = {k} is not divisible by p^(2a+1) = {p ** (2 * a + 1)}")
+        vk = vp(k, p)
+        v = min(vk - 2 * a - 1, t)
+        d, M, kprime = (p - 1) // gcd(k, p - 1), 3 * a + t + v + 2, k // p**vk
+        vars(self).update(p=p, a=a, t=t, k=k, d=d, v=v, M=M, kprime=kprime)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"ParameterSet is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash((self.p, self.a, self.t, self.k))
 
     def as_dict(self) -> dict[str, int]:
         return {

@@ -24,8 +24,6 @@ documented failures (r = 2, and more generally small-a points where
 caller maps the validity region.
 """
 
-from __future__ import annotations
-
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime_gt3, vp
 from .report import MARGIN_WINDOW, CheckReport, congruence_report

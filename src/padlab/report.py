@@ -11,11 +11,14 @@ their own differences.  corollary2 is the one unsaturated reporter: it
 reads the exact valuation of its sum from residues mod p^K, doubling K
 from E + MARGIN_WINDOW while the residue is 0.  A margin is None for
 checks with no scalar difference (multiset equality, counts).
+
+CheckReport and padlab's other value types are plain classes on Record,
+which compares and prints them by their attributes as a dataclass does:
+the same arguments give an equal report.  They keep their attributes in
+a __dict__, so a pool pickles them as fast as it did dataclasses, and
+importing padlab loads neither dataclasses nor inspect.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .padic_core import reduce_rational, vp_rational
@@ -26,18 +29,41 @@ from .padic_core import reduce_rational, vp_rational
 MARGIN_WINDOW = 8
 
 
-@dataclass
-class CheckReport:
-    name: str
-    inputs: dict
-    holds: bool
-    lhs: str = ""
-    rhs: str = ""
-    modulus: tuple[int, int] | None = None  # (p, required exponent)
-    margin: int | None = None
-    elapsed_ms: int = 0  # set by cli.run_check; checkers never read a clock
-    error: str | None = None
-    details: dict = field(default_factory=dict)
+class Record:
+    """Equality and repr by instance attributes, in assignment order; a
+    Record is unhashable unless its class defines __hash__."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class CheckReport(Record):
+    def __init__(
+        self,
+        name: str,
+        inputs: dict,
+        holds: bool,
+        lhs: str = "",
+        rhs: str = "",
+        modulus: tuple[int, int] | None = None,  # (p, required exponent)
+        margin: int | None = None,
+        elapsed_ms: int = 0,  # set by cli.run_check; checkers never read a clock
+        error: str | None = None,
+        details: dict | None = None,
+    ):
+        self.name = name
+        self.inputs = inputs
+        self.holds = holds
+        self.lhs = lhs
+        self.rhs = rhs
+        self.modulus = modulus
+        self.margin = margin
+        self.elapsed_ms = elapsed_ms
+        self.error = error
+        self.details = {} if details is None else details
 
     @property
     def status(self) -> str:
@@ -110,5 +136,5 @@ def congruence_report(
         rhs=str(reduce_rational(rhs, p, exponent)),
         modulus=(p, exponent),
         margin=margin,
-        details=details or {},
+        details=details,
     )

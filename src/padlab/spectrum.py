@@ -11,37 +11,37 @@ orders); theorem3_check compares the stabilizer order against d*p^a
 (v < t) or d (v = t).  j_balanced is the fiber-equidistribution
 diagnostic that controls the p-part of the stabilizer; balance_check
 verifies that it agrees with the stabilizer order, j by j.
+
+Two ResidueMultisets are equal when their moduli and multiplicities
+agree, which is corollary1's verdict on S_x = S_y.  A SubgroupDescriptor
+checks at construction that its generator has the order it states.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .jet import derivative_mod, derivative_values
 from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
 from .params import ParameterSet
-from .report import CheckReport
+from .report import CheckReport, Record
 
 
-@dataclass
-class ResidueMultiset:
-    """Map from invertible residue value mod p^M to positive multiplicity."""
+class ResidueMultiset(Record):
+    """Map from invertible residue value mod p^M to positive multiplicity;
+    two are equal when p, M and every multiplicity agree."""
 
-    p: int
-    M: int
-    counts: dict[int, int]
-
-    def __post_init__(self):
-        pM = self.p**self.M
-        for key, c in self.counts.items():
+    def __init__(self, p: int, M: int, counts: dict[int, int]):
+        pM = p**M
+        for key, c in counts.items():
             if not 0 <= key < pM:
-                raise ValueError(f"residue {key} out of range for modulus {self.p}^{self.M}")
-            if key % self.p == 0:
-                raise ValueError(f"residue {key} is not invertible mod {self.p}^{self.M}")
+                raise ValueError(f"residue {key} out of range for modulus {p}^{M}")
+            if key % p == 0:
+                raise ValueError(f"residue {key} is not invertible mod {p}^{M}")
             if c < 1:
                 raise ValueError(f"multiplicity of {key} must be positive, got {c}")
+        self.p = p
+        self.M = M
+        self.counts = counts
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -50,18 +50,16 @@ class ResidueMultiset:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+class SubgroupDescriptor(Record):
     """A cyclic subgroup of the unit group mod p^M: its order and a generator."""
 
-    order: int
-    generator: int
-    p: int
-    M: int
-
-    def __post_init__(self):
-        if element_order(self.generator, self.p, self.M) != self.order:
-            raise ValueError(f"generator {self.generator} does not have order {self.order}")
+    def __init__(self, order: int, generator: int, p: int, M: int):
+        if element_order(generator, p, M) != order:
+            raise ValueError(f"generator {generator} does not have order {order}")
+        self.order = order
+        self.generator = generator
+        self.p = p
+        self.M = M
 
 
 def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:

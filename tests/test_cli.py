@@ -1,8 +1,11 @@
+import argparse
 import concurrent.futures
 import functools
+import inspect
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import shlex
 import itertools
@@ -19,8 +22,11 @@ import padlab
 import padlab.bernoulli as bernoulli_module
 from padlab.bernoulli import BernoulliTable
 from padlab.congruence_suite import case1_step_check
+from padlab.params import ParameterSet
 from padlab.cli import (
+    _PS_FIELDS,
     REGISTRY,
+    CheckerSpec,
     SweepConfig,
     SweepReport,
     _cpus,
@@ -192,6 +198,52 @@ class TestRunCheck:
             monkeypatch.undo()
             assert len(calls) == 1, name
             assert canonical_body(report.to_json_dict()) == expected, name
+
+
+class TestRegistryContract:
+    def test_parameters_read_off_the_code_object_are_the_signatures(self):
+        # inspect is imported by this test only: the registry reads
+        # __code__ and __defaults__, which must give what the signature says
+        assert _PS_FIELDS == tuple(inspect.signature(ParameterSet).parameters) == ("p", "a", "t", "k")
+        for name, spec in REGISTRY.items():
+            sig = inspect.signature(getattr(spec.module, spec.fn)).parameters.values()
+            assert {q.kind for q in sig} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, name
+            required = tuple(q.name for q in sig if q.default is q.empty)
+            optional = tuple(q.name for q in sig if q.default is not q.empty)
+            params = (*_PS_FIELDS, *required[1:]) if required[:1] == ("ps",) else required
+            assert (spec.params, spec.optional) == (params, optional), name
+
+    def test_defaulted_parameters_are_optional(self):
+        spec = CheckerSpec(SimpleNamespace(check=lambda ps, j, v=None, w=0: None), "check")
+        assert (spec.params, spec.optional) == (("p", "a", "t", "k", "j"), ("v", "w"))
+        spec = CheckerSpec(SimpleNamespace(check=lambda n, ps=None: None), "check")
+        assert (spec.params, spec.optional) == (("n",), ("ps",))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda p, *rest: None, lambda p, *, q: None, lambda p, *, q=1: None, lambda p, **kw: None, lambda p, /, q: None],
+        ids=["varargs", "keyword-only", "keyword-only-defaulted", "varkw", "positional-only"],
+    )
+    def test_unbindable_parameters_raise_at_registration(self, fn):
+        with pytest.raises(TypeError, match="positional-or-keyword"):
+            CheckerSpec(SimpleNamespace(check=fn), "check")
+
+
+class TestReportValues:
+    def test_two_direct_calls_give_equal_reports(self):
+        for name, args in POINTS.items():
+            first, second = REGISTRY[name].run(dict(args)), REGISTRY[name].run(dict(args))
+            assert first is not second and first == second, name
+            second.elapsed_ms += 1
+            assert first != second, name
+
+    def test_reports_survive_a_pickle_round_trip(self):
+        held = run_check("theorem3", POINTS["theorem3"])
+        errored = run_check("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 4})
+        assert (held.status, errored.status) == ("held", "errored")
+        for rep in (held, errored):
+            back = pickle.loads(pickle.dumps(rep))
+            assert back is not rep and back == rep and back.to_json_dict() == rep.to_json_dict()
 
 
 class TestReportJson:
@@ -659,6 +711,64 @@ class TestMain:
         assert json.loads(captured.err)["error"]
 
 
+def _exits(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestCliSurface:
+    """main builds only the subparser its command names; what it prints and
+    how it exits must be what the parser with every subcommand gives."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in [*REGISTRY, "sweep", "bernoulli"])], ids=" ".join)
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        full = _exits(capsys, build_parser().parse_args, argv)
+        assert full[0] == 0 and full[1].startswith("usage: padlab") and full[2] == ""
+        assert _exits(capsys, main, argv) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "",
+            "stabilizer",
+            "kumm --p 5 --a 0 --r 2 --s 6",
+            "kummer --p 5",
+            "kummer --p 5 --a 0 --r 2 --s x",
+            "kummer --p 5 --a 0 --r 2 --s 6 --zz 1",
+            "kummer --p 5 --a 0 --r 2 --s 6 extra",
+            "sweep --config c.json",
+            "bernoulli",
+        ],
+    )
+    def test_usage_errors_exit_2_as_the_full_parser_does(self, capsys, argv):
+        full = _exits(capsys, build_parser().parse_args, argv.split())
+        assert full[0] == 2 and full[1] == "" and "error:" in full[2]
+        assert _exits(capsys, main, argv.split()) == full
+
+    def test_main_builds_only_the_subparser_it_runs(self, monkeypatch, tmp_path, capsys):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert main(["kummer", "--p", "5", "--a", "0", "--r", "2", "--s", "6"]) == 0
+        assert built == ["kummer"]
+        built.clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(KUMMER_GRID))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 0
+        assert built == ["sweep"]
+        built.clear()
+        build_parser()
+        assert built == [*REGISTRY, "bernoulli", "sweep"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -678,21 +788,39 @@ def readme_cli_examples() -> list[tuple[str, str]]:
     return out
 
 
+def _readme_argv(command: str, out_dir: Path) -> list[str]:
+    """A README example's arguments, its config read from the repository
+    and its --out written under out_dir."""
+    argv = shlex.split(command)[1:]
+    for flag, path in (("--config", README.parent), ("--out", out_dir)):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(path / argv[i])
+    return argv
+
+
 class TestReadme:
     def test_cli_examples_exit_as_documented(self, tmp_path, capsys):
         examples = readme_cli_examples()
         assert len(examples) >= 20
         for command, comment in examples:
-            argv = shlex.split(command)[1:]
-            for flag, path in (("--config", README.parent), ("--out", tmp_path)):
-                if flag in argv:
-                    i = argv.index(flag) + 1
-                    argv[i] = str(path / argv[i])
-            code = main(argv)
+            code = main(_readme_argv(command, tmp_path))
             stdout = capsys.readouterr().out
             assert code == (1 if "exits 1" in comment else 0), command
             if "->" in comment:
                 assert stdout.strip() == comment.split("->")[1].strip(), command
+
+    def test_cli_examples_print_their_recorded_output(self, tmp_path, capsys):
+        # readme_cli_stdout.json holds each example's exit code and stdout as
+        # padlab printed them when its value types were dataclasses and its
+        # parser held every subcommand; elapsed_ms reads 0 and the --out
+        # directory {tmp}
+        recorded = json.loads((README.parent / "tests" / "readme_cli_stdout.json").read_text(encoding="utf-8"))
+        assert [r["command"] for r in recorded] == [command for command, _ in readme_cli_examples()]
+        for r in recorded:
+            code = main(_readme_argv(r["command"], tmp_path))
+            stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+            assert (code, stdout.replace(str(tmp_path), "{tmp}")) == (r["exit_code"], r["stdout"]), r["command"]
 
 
 def test_cli_import_is_lean():
@@ -707,6 +835,26 @@ def test_cli_import_is_lean():
     src = str(Path(padlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _new_modules(statement: str) -> set[str]:
+    """The modules that `statement` adds to sys.modules in a fresh
+    interpreter without site, so no .pth hook of the environment has
+    loaded any of them beforehand."""
+    code = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(Path(padlab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], check=True, env=env, capture_output=True, text=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_only_padlab_and_argparse_json_fractions():
+    # the cold start of every CLI call and sweep process: padlab's own
+    # modules, plus what its three stdlib needs load themselves
+    loaded = _new_modules("import padlab.cli")
+    assert {"padlab.cli", "padlab.spectrum", "argparse", "json", "fractions"} <= loaded
+    assert not {"inspect", "dataclasses", "concurrent.futures", "__future__"} & loaded
+    own = {m for m in loaded if m == "padlab" or m.startswith("padlab.")}
+    assert loaded - own <= _new_modules("import argparse, json, fractions")
 
 
 def test_over_nested_config_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import re
 from math import gcd
 
@@ -38,6 +39,35 @@ class TestMakeParams:
 
     def test_as_dict_keys(self):
         assert set(ParameterSet(5, 0, 0, 10).as_dict()) == {"p", "a", "t", "k", "d", "v", "M"}
+
+
+class TestValueSemantics:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        ps = ParameterSet(5, 0, 0, 10)
+        for name in ("p", "k", "M", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(ps, name, 7)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(ps, name)
+        assert (ps.p, ps.k, ps.M) == (5, 10, 2)
+
+    def test_equality_and_hash_are_by_p_a_t_k(self):
+        ps, same = ParameterSet(5, 1, 1, 125), ParameterSet(p=5, a=1, t=1, k=125)
+        assert ps is not same and ps == same and hash(ps) == hash(same)
+        others = [ParameterSet(7, 1, 1, 343), ParameterSet(5, 0, 1, 125), ParameterSet(5, 1, 0, 125), ParameterSet(5, 1, 1, 250)]
+        assert all(ps != other for other in others)
+        assert len({ps, same, *others}) == 5
+        assert ps != (5, 1, 1, 125) and ps != ps.as_dict()
+
+    def test_pickle_round_trip(self):
+        ps = ParameterSet(5, 1, 1, 125)
+        back = pickle.loads(pickle.dumps(ps))
+        assert back == ps and (back.d, back.v, back.M, back.kprime) == (4, 0, 6, 1)
+        with pytest.raises(AttributeError):
+            back.k = 5
+
+    def test_repr_names_every_field(self):
+        assert repr(ParameterSet(5, 0, 0, 10)) == "ParameterSet(p=5, a=0, t=0, k=10, d=2, v=0, M=2, kprime=2)"
 
 
 class TestStrongParams:

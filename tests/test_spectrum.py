@@ -48,6 +48,14 @@ class TestMultiset:
         assert s.counts == {2: 2, 23: 1}
         assert s.total() == 3 and len(s) == 2
 
+    def test_equality_is_by_modulus_and_multiplicities(self):
+        s = ResidueMultiset(*M25, {2: 2, 23: 1})
+        assert s == ResidueMultiset(5, 2, {23: 1, 2: 2})
+        assert s != ResidueMultiset(*M25, {2: 1, 23: 2})
+        assert s != ResidueMultiset(*M25, {2: 2})
+        assert s != ResidueMultiset(5, 3, {2: 2, 23: 1})
+        assert s != {2: 2, 23: 1}
+
 
 class TestEvalF:
     def test_examples(self):
@@ -188,6 +196,17 @@ class TestCorollary1:
     def test_rejects_non_unit_x(self):
         with pytest.raises(ValueError, match=r"^x = 5 must be invertible mod p = 5$"):
             corollary1_check(PS, 5, 1)
+
+    def test_verdict_is_multiset_equality(self, monkeypatch):
+        # y = 2*4 = 3 mod 5 shares S_2; S_1 differs from S_2, so a corollary1
+        # that is handed S_1 for S_3 must fail on ResidueMultiset's !=
+        assert build_S_x(PS, 2) == build_S_x(PS, 3) and build_S_x(PS, 2) is not build_S_x(PS, 3)
+        assert build_S_x(PS, 1) != build_S_x(PS, 2)
+        assert corollary1_check(PS, 2, 4).holds
+        real = spectrum_module.build_S_x
+        monkeypatch.setattr(spectrum_module, "build_S_x", lambda ps, x: real(ps, 1 if x == 3 else x))
+        rep = corollary1_check(PS, 2, 4)
+        assert rep.status == "failed" and rep.rhs == "S_3"
 
 
 class TestStabilizer:
