@@ -16,16 +16,22 @@ stamps the wall-clock elapsed_ms on every report it returns, errored ones
 included.  It runs each checker with Python's 4300-digit limit on int <->
 str conversion lifted, so no verdict depends on the pool's start method.
 run_sweep expands each check's grid as a Cartesian product in
-sorted parameter order and yields the points' reports in that order as
-they are ready, so report order is deterministic regardless of the
-parallelism degree.  A pool never has more workers than points or than
-the CPUs this process may run on, and it sends them chunks of
-max(1, len(points) // (8 * workers)) points, so IPC is paid per chunk,
-not per point.  Serial or pooled, each process grows its own Bernoulli
-table lazily, only as far as the points it runs read.  write_sweep is
-the sweep file's one layout: main streams the reports into --out one at
-a time, so it never holds the whole sweep, and SweepReport.collect
-gathers one in memory for library callers.
+sorted parameter order and yields each point's (status, JSON text) pair
+in that order as it is ready, so report order is deterministic regardless
+of the parallelism degree.  It counts the points as the product of the
+grid's list lengths and draws them lazily, so the parent never lists the
+grid.  A pool never has more workers than points or than the CPUs this
+process may run on; it gets chunks of
+max(1, min(points // (8 * workers), 512)) points, so IPC is paid per
+chunk, not per point, and at most 2 * workers chunks are submitted and
+not yet yielded at a time, so the parent's memory does not grow with the
+number of points.  Each point's report is encoded where it ran
+(_run_point), under the lifted digit limit, and the parent only counts
+statuses and writes text.  Serial or pooled, each process grows its own
+Bernoulli table lazily, only as far as the points it runs read.
+write_sweep is the sweep file's one layout: main streams the pairs into
+--out one at a time, so it never holds the whole sweep, and
+SweepReport.collect gathers one in memory for library callers.
 
 main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
@@ -51,9 +57,11 @@ import argparse
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
+from collections import deque
 from collections.abc import Iterable, Iterator
 from types import ModuleType
 
@@ -224,10 +232,11 @@ def _jobs(value) -> int:
 
 
 class SweepReport(Record):
-    """A whole sweep in memory, for library callers and tests.  The CLI
-    streams the same file through write_sweep without one."""
+    """A whole sweep in memory, for library callers and tests: each point's
+    (status, JSON text of its report) pair, as run_sweep yields them.  The
+    CLI streams the same file through write_sweep without one."""
 
-    def __init__(self, config: dict, reports: list[CheckReport]):
+    def __init__(self, config: dict, reports: list[tuple[str, str]]):
         self.config = config
         self.reports = reports
 
@@ -237,38 +246,52 @@ class SweepReport(Record):
 
     @property
     def summary(self) -> dict:
-        return write_sweep(io.StringIO(), self.config, self.reports)
+        return _summary(status for status, _ in self.reports)
 
     def exit_code(self) -> int:
         return _exit_code(self.summary)
 
     def to_json_dict(self) -> dict:
-        """The sweep file's object, read back from what write_sweep writes."""
+        """The sweep file's object, read back from what write_sweep writes;
+        both run under the lifted digit limit, as in main, so an echoed
+        grid value of any length round-trips."""
         buf = io.StringIO()
-        write_sweep(buf, self.config, self.reports)
-        return json.loads(buf.getvalue())
+        _without_digit_limit(write_sweep, buf, self.config, self.reports)
+        return _without_digit_limit(json.loads, buf.getvalue())
 
 
-def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[CheckReport]) -> dict:
-    """Write a sweep file to fh one report at a time, as `reports` yields
-    them, and return its summary.  This is the file's one layout: a line of
-    compact JSON with sorted keys (config, reports, summary, tool, version),
-    byte for byte what json.dumps(obj, sort_keys=True) + "\\n" gives for the
-    whole object; only the summary, which counts the reports, follows them."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
+
+
+def _summary(statuses: Iterable[str]) -> dict:
     counts = dict.fromkeys(("held", "failed", "errored"), 0)
-    fh.write(f'{{"config": {encode(config)}, "reports": [')
-    sep = ""
-    for report in reports:
-        counts[report.status] += 1
-        fh.write(sep + encode(report.to_json_dict()))
-        sep = ", "
-    summary = {"total": sum(counts.values()), **counts}
-    fh.write(f'], "summary": {encode(summary)}, "tool": "padlab", "version": {encode(__version__)}}}\n')
+    for status in statuses:
+        counts[status] += 1
+    return {"total": sum(counts.values()), **counts}
+
+
+def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, str]]) -> dict:
+    """Write a sweep file to fh one report at a time, as `reports` yields
+    their (status, JSON text) pairs, and return its summary.  This is the
+    file's one layout: a line of compact JSON with sorted keys (config,
+    reports, summary, tool, version), byte for byte what
+    json.dumps(obj, sort_keys=True) + "\\n" gives for the whole object; only
+    the summary, which counts the reports, follows them."""
+
+    def written():
+        sep = ""
+        for status, text in reports:
+            fh.write(sep + text)
+            sep = ", "
+            yield status
+
+    fh.write(f'{{"config": {_encode(config)}, "reports": [')
+    summary = _summary(written())
+    fh.write(f'], "summary": {_encode(summary)}, "tool": "padlab", "version": {_encode(__version__)}}}\n')
     return summary
 
 
-def grid_points(config: SweepConfig):
+def grid_points(config: SweepConfig) -> Iterator[tuple[str, dict]]:
     """Yield (name, args) in deterministic order: checks as listed, then the
     Cartesian product lexicographically over sorted parameter names."""
     for entry in config.checks:
@@ -277,8 +300,20 @@ def grid_points(config: SweepConfig):
             yield entry["name"], dict(zip(keys, combo))
 
 
-def _run_point(point: tuple[str, dict]) -> CheckReport:
-    return run_check(point[0], point[1])
+def _run_point(point: tuple[str, dict]) -> tuple[str, str]:
+    """The point's status and its report's JSON text, encoded in the process
+    that ran it under the lifted digit limit, which spawn and forkserver
+    workers do not inherit from main."""
+    return _without_digit_limit(_encoded_report, *point)
+
+
+def _encoded_report(name: str, args: dict) -> tuple[str, str]:
+    report = run_check(name, args)
+    return report.status, _encode(report.to_json_dict())
+
+
+def _run_chunk(points: list[tuple[str, dict]]) -> list[tuple[str, str]]:
+    return list(map(_run_point, points))
 
 
 def _cpus() -> int:
@@ -287,22 +322,35 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def run_sweep(config: SweepConfig) -> Iterator[CheckReport]:
-    """Yield the report of each grid point, in grid order, as it is ready.
-    Closing the generator early cancels the chunks no worker has started
-    and joins the pool."""
-    points = list(grid_points(config))
+def run_sweep(config: SweepConfig) -> Iterator[tuple[str, str]]:
+    """Yield each grid point's (status, JSON text) pair, in grid order, as
+    it is ready.  Points are drawn from grid_points only as the window of
+    chunks in flight has room.  Closing the generator early cancels the
+    chunks no worker has started and joins the pool."""
+    total = sum(math.prod(map(len, entry["grid"].values())) for entry in config.checks)
+    points = grid_points(config)
     # a fork pool starts all its workers at once, however few points or CPUs there are
-    workers = min(config.jobs, len(points), _cpus())
+    workers = min(config.jobs, total, _cpus())
     if workers < 2:
         yield from map(_run_point, points)
         return
     from concurrent.futures import ProcessPoolExecutor  # serial runs skip the import
 
+    # the cap keeps the window's size, and so the parent's memory, independent
+    # of the grid; at 1024 points the parent's peak RSS still crept up with the
+    # grid (20 MB at 10^5 lemma4 points, 26 MB at 4*10^5), at 512 it did not
+    size = max(1, min(total // (8 * workers), 512))
+    chunks = iter(lambda: list(itertools.islice(points, size)), [])
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        chunk = max(1, len(points) // (8 * workers))
-        yield from pool.map(_run_point, points, chunksize=chunk)
+        window = deque(pool.submit(_run_chunk, chunk) for chunk in itertools.islice(chunks, 2 * workers))
+        while window:
+            yield from window.popleft().result()
+            # submitted only once the chunk before it is yielded, so at most
+            # 2 * workers chunks are ever submitted and not yet yielded
+            chunk = next(chunks, None)
+            if chunk is not None:
+                window.append(pool.submit(_run_chunk, chunk))
     finally:
         pool.shutdown(cancel_futures=True)
 

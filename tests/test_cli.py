@@ -90,6 +90,19 @@ def _spawn_spy(monkeypatch) -> list[int]:
     return spawned
 
 
+def _submit_spy(monkeypatch) -> list[int]:
+    """Record the length of each chunk run_sweep submits to a pool."""
+    chunks = []
+    submit = ProcessPoolExecutor.submit
+
+    def spy(pool, fn, points):
+        chunks.append(len(points))
+        return submit(pool, fn, points)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    return chunks
+
+
 # a holding corollary3 point whose sides have 4473 digits, more than the
 # 4300 that Python (>= 3.10.7) converts between int and str by default
 BIG_SIDES = {"p": 5, "a": 0, "t": 0, "k": 15005, "s0": 2, "kk": 3200, "x": 1}
@@ -268,6 +281,8 @@ KUMMER_GRID = {
 }
 # 40 holding points: a jobs-2 pool sends them in chunks of 40 // 16 = 2
 VSC_40 = {"name": "von_staudt_clausen", "grid": {"n": list(range(2, 82, 2))}}
+# 40000 cheap lemma4 points, the first of which holds
+LEMMA4_40K = {"name": "lemma4", "grid": {k: [v] for k, v in POINTS["lemma4"].items()} | {"n": list(range(1, 40_001))}}
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP_CONFIGS = {
     "kummer-grid": lambda: {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]},
@@ -365,8 +380,41 @@ class TestSweep:
         monkeypatch.setattr("padlab.cli.run_check", lambda *a: calls.append(a) or run_check(*a))
         reports = run_sweep(SweepConfig.from_dict(KUMMER_GRID))
         assert calls == []
-        assert next(reports).status == "held" and len(calls) == 1
+        assert next(reports)[0] == "held" and len(calls) == 1
         reports.close()
+
+    def _counted_grid(self, monkeypatch) -> list[int]:
+        """Count the points run_sweep draws from grid_points."""
+        drawn = [0]
+
+        def counted(config):
+            for point in grid_points(config):
+                drawn[0] += 1
+                yield point
+
+        monkeypatch.setattr("padlab.cli.grid_points", counted)
+        return drawn
+
+    def test_serial_sweep_draws_the_grid_lazily(self, monkeypatch):
+        drawn = self._counted_grid(monkeypatch)
+        reports = run_sweep(SweepConfig.from_dict({"checks": [LEMMA4_40K]}))
+        assert next(reports)[0] == "held" and drawn == [1]
+        reports.close()
+
+    def test_pooled_sweep_keeps_a_bounded_window_of_chunks(self, monkeypatch):
+        # 40000 points: chunks of min(40000 // 16, 512) = 512, and at the
+        # first report 2 * 2 of them have been drawn and submitted
+        drawn = self._counted_grid(monkeypatch)
+        chunks = _submit_spy(monkeypatch)
+        reports = run_sweep(SweepConfig.from_dict({"checks": [LEMMA4_40K], "jobs": 2}))
+        assert next(reports)[0] == "held"
+        assert chunks == [512] * 4 and drawn == [2048]
+        for _ in range(512):
+            next(reports)
+        # the first chunk is yielded whole before its successor is submitted
+        assert chunks == [512] * 5 and drawn == [2560]
+        reports.close()
+        assert multiprocessing.active_children() == []
 
     def test_closing_a_pooled_sweep_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
         # 800 points of 1 ms in 16 chunks of 50: closing the generator after
@@ -394,12 +442,12 @@ class TestSweep:
         raw = {"checks": []} if name == "empty" else SWEEP_CONFIGS[name]()
         config = SweepConfig.from_dict({**raw, "jobs": jobs})
         reports = list(run_sweep(config))
-        statuses = [r.status for r in reports]
+        statuses = [status for status, _ in reports]
         whole = {
             "tool": "padlab",
             "version": padlab.__version__,
             "config": {"checks": config.checks, "jobs": jobs},
-            "reports": [r.to_json_dict() for r in reports],
+            "reports": [json.loads(text) for _, text in reports],
             "summary": {"total": len(reports), **{s: statuses.count(s) for s in ("held", "failed", "errored")}},
         }
         expected = json.dumps(whole, sort_keys=True) + "\n"
@@ -443,24 +491,19 @@ class TestSweep:
         body = canonical_body(SweepReport.collect(serial).to_json_dict())
         assert body == canonical_body(SweepReport.collect(pooled).to_json_dict())
         if name == "region-map-seed-7":
-            # chunks of 10488 // 16 = 655 points
+            # chunks of min(10488 // 16, 512) = 512 points
             assert body["summary"]["total"] == 10488
 
     def test_pool_map_is_chunked(self, monkeypatch):
-        # one IPC round trip per chunk of max(1, points // (8 * workers)) points
-        chunksizes = []
-        pool_map = ProcessPoolExecutor.map
-
-        def spy(pool, fn, *iterables, **kwargs):
-            chunksizes.append(kwargs.get("chunksize", 1))
-            return pool_map(pool, fn, *iterables, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        # one IPC round trip per chunk of max(1, min(points // (8 * workers), 512)) points
+        chunks = _submit_spy(monkeypatch)
         sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [VSC_40], "jobs": 2}))
         assert sweep.summary["held"] == 40
+        assert chunks == [2] * 20
+        chunks.clear()
         sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 2}))
         assert sweep.summary["held"] == 3
-        assert chunksizes == [2, 1]
+        assert chunks == [1] * 3
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -503,14 +546,37 @@ class TestSweep:
         assert sweep.summary == {"total": 2, "held": 2, "failed": 0, "errored": 0}
         assert canonical_body(sweep.to_json_dict()) == serial
 
+    @pytest.mark.parametrize("method", [None, "fork", "spawn", "forkserver"])
+    def test_inputs_of_any_length_encode_serial_and_pooled(self, monkeypatch, method):
+        # kk = 4 * 10^4400 errors in lemma2, and its report echoes the
+        # 4401-digit input; the library path and every pool encode it
+        big = 4 * 10**4400
+        raw = {"checks": [{"name": "lemma2", "grid": {"p": [5], "a": [1], "rr": [1], "kk": [5, big]}}]}
+        if method is not None:
+            pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+            raw["jobs"] = 2
+        spawned = _spawn_spy(monkeypatch)
+        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
+        assert sweep.summary == {"total": 2, "held": 1, "failed": 0, "errored": 1}
+        assert (spawned != []) == (method is not None)
+        body = canonical_body(sweep.to_json_dict())
+        assert body["config"]["checks"][0]["grid"]["kk"] == [5, big]
+        assert body["reports"][1]["inputs"]["kk"] == "4" + "0" * 4400
+        assert body["reports"][1]["error"] and body["reports"][1]["holds"] is False
+        serial = SweepReport.collect(SweepConfig.from_dict({**raw, "jobs": 1}))
+        assert body == canonical_body(serial.to_json_dict())
+
     def test_heavy_sweep_config(self):
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
         # (11,2,2) and (7,2,2); the summary pins every verdict
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "heavy_sweep.json").read_text())
         sweep = SweepReport.collect(SweepConfig.from_dict(raw))
         assert sweep.summary == {"total": 10, "held": 10, "failed": 0, "errored": 0}
-        assert [r.margin for r in sweep.reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
-        assert [r.details["sum_valuation"] for r in sweep.reports[-3:]] == [12, 14, 14]
+        reports = sweep.to_json_dict()["reports"]
+        assert [r["margin"] for r in reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
+        # details render their ints as decimal strings
+        assert [r["details"]["sum_valuation"] for r in reports[-3:]] == ["12", "14", "14"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):
