@@ -10,36 +10,41 @@ the sweep-grid keys are derived from it.  run_check dispatches such a
 record and turns math-level ValueErrors and ArithmeticErrors, as well as
 RecursionErrors and MemoryErrors, into errored reports (unknown names or
 parameters raise instead, by the rule _checker states for run_check and
-for each sweep grid), so one bad point cannot abort a sweep.  It is
-also the one place a check is timed: the checkers are pure, and run_check
-stamps the wall-clock elapsed_ms on every report it returns, errored ones
-included.  It runs each checker with Python's 4300-digit limit on int <->
-str conversion lifted, so no verdict depends on the pool's start method.
-run_sweep expands each check's grid as a Cartesian product in
-sorted parameter order and yields each point's (status, JSON text) pair
-in that order as it is ready, so report order is deterministic regardless
-of the parallelism degree.  It counts the points as the product of the
-grid's list lengths and draws them lazily, so the parent never lists the
-grid.  A pool never has more workers than points or than the CPUs this
-process may run on; it gets chunks of
+for each sweep grid), so one bad point cannot abort a sweep.  It is also
+the one place a check is timed: the checkers are pure, and run_check
+stamps the wall-clock elapsed_ms on every report it returns, errored
+ones included.  A sweep config is the dict that sweep_config returns,
+{"checks": [{"name": str, "grid": {param: [ints]}}, ...], "jobs": int},
+and a sweep file echoes it.  run_sweep expands each check's grid as a
+Cartesian product in sorted parameter order and yields each point's
+(status, JSON text) pair in that order as it is ready, so report order
+is deterministic regardless of the parallelism degree.  It counts the
+points as the product of the grid's list lengths and draws them lazily,
+so the parent never lists the grid.  A pool never has more workers than
+points or than the CPUs this process may run on; it gets chunks of
 max(1, min(points // (8 * workers), 512)) points, so IPC is paid per
 chunk, not per point, and at most 2 * workers chunks are submitted and
 not yet yielded at a time, so the parent's memory does not grow with the
 number of points.  Each point's report is encoded where it ran
-(_run_point), under the lifted digit limit, and the parent only counts
-statuses and writes text.  Serial or pooled, each process grows its own
-Bernoulli table lazily, only as far as the points it runs read.
-write_sweep is the sweep file's one layout: main streams the pairs into
---out one at a time, so it never holds the whole sweep, and
-SweepReport.collect gathers one in memory for library callers.
+(_run_point), and the parent only counts statuses and writes text.
+Serial or pooled, each process grows its own Bernoulli table lazily,
+only as far as the points it runs read.  write_sweep is the sweep file's
+one layout: main streams the pairs into --out one at a time, so it never
+holds the whole sweep, and SweepReport.collect gathers one in memory for
+library callers.
 
 main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
 one handler, which prints a JSON error to stderr and exits 2.  Checker
-errors never get there: run_check has made them errored reports.  Inputs
-are parsed under the 4300-digit limit; then main lifts it until it
-returns, so results print at any length.  Every subcommand but bernoulli
-and sweep is a registered checker, such as spectrum.balance_check.
+errors never get there: run_check has made them errored reports.  Every
+subcommand but bernoulli and sweep is a registered checker, such as
+spectrum.balance_check.  Python's 4300-digit limit on int <-> str
+conversion holds while main parses its inputs.  `with _NoDigitLimit():`
+blocks lift it around main's command, so results print at any length;
+around run_check's checker and _run_point's check and encode, which
+spawn and forkserver workers do not inherit from main, so no verdict
+depends on the start method; and in SweepReport.to_json_dict.  Each
+restores its caller's limit.
 
 A command line is parsed by a parser that holds only the subcommand it
 names (build_parser), so a call builds one subparser, not all of them;
@@ -153,66 +158,61 @@ def run_check(name: str, args: dict) -> CheckReport:
     checker = _checker(name, args)
     t0 = time.perf_counter_ns()
     try:
-        report = _without_digit_limit(checker.run, args)
+        with _NoDigitLimit():
+            report = checker.run(args)
     except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
         report = CheckReport(name=name, inputs=dict(args), holds=False, error=str(exc))
     report.elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
     return report
 
 
-def _without_digit_limit(fn, *args):
-    """fn(*args) with Python's 4300-digit int <-> str limit lifted, then
-    restored; Pythons before 3.10.7 have no such limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        return fn(*args)
-    sys.set_int_max_str_digits(0)
-    try:
-        return fn(*args)
-    finally:
-        sys.set_int_max_str_digits(limit)
+class _NoDigitLimit:
+    """A `with` block that lifts the int <-> str digit limit, which Pythons
+    before 3.10.7 lack, and restores it on exit; enter a fresh instance
+    each time, since blocks nest."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if self.limit is not None:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info):
+        if self.limit is not None:
+            sys.set_int_max_str_digits(self.limit)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-class SweepConfig(Record):
-    def __init__(self, checks: list[dict], jobs: int = 1):
-        self.checks = checks  # each {"name": str, "grid": {param: [values]}}
-        self.jobs = jobs
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SweepConfig":
-        if not isinstance(raw, dict) or "checks" not in raw:
-            raise ValueError("sweep config must be an object with a 'checks' list")
-        unknown = set(raw) - {"checks", "jobs"}
+def sweep_config(raw) -> dict:
+    """raw, a config as json.load read it, checked: {"checks": its checks,
+    "jobs": its jobs, 1 if it has none}; else a ValueError."""
+    if not isinstance(raw, dict) or "checks" not in raw:
+        raise ValueError("sweep config must be an object with a 'checks' list")
+    unknown = set(raw) - {"checks", "jobs"}
+    if unknown:
+        raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
+    checks = raw["checks"]
+    if not isinstance(checks, list):
+        raise ValueError("'checks' must be a list")
+    for entry in checks:
+        if not isinstance(entry, dict):
+            raise ValueError(f"each check must be an object, got {entry!r}")
+        name = entry.get("name")
+        unknown = set(entry) - {"name", "grid"}
         if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        checks = raw["checks"]
-        if not isinstance(checks, list):
-            raise ValueError("'checks' must be a list")
-        for entry in checks:
-            if not isinstance(entry, dict):
-                raise ValueError(f"each check must be an object, got {entry!r}")
-            name = entry.get("name")
-            unknown = set(entry) - {"name", "grid"}
-            if unknown:
-                raise ValueError(f"unknown keys in check {name!r}: {sorted(unknown)}")
-            grid = entry.get("grid")
-            if not isinstance(grid, dict) or not grid:
-                raise ValueError(f"check {name!r} needs a nonempty 'grid' object")
-            _checker(name, grid)
-            for key, values in grid.items():
-                if not isinstance(values, list) or not values:
-                    raise ValueError(f"grid entry {name}.{key} must be a nonempty list")
-                if not all(map(_is_int, values)):
-                    raise ValueError(f"grid entry {name}.{key} must list integers, got {values!r}")
-        return cls(checks=checks, jobs=_jobs(raw.get("jobs", 1)))
-
-    def as_dict(self) -> dict:
-        """The config as a sweep file echoes it."""
-        return {"checks": self.checks, "jobs": self.jobs}
+            raise ValueError(f"unknown keys in check {name!r}: {sorted(unknown)}")
+        grid = entry.get("grid")
+        if not isinstance(grid, dict) or not grid:
+            raise ValueError(f"check {name!r} needs a nonempty 'grid' object")
+        _checker(name, grid)
+        for key, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"grid entry {name}.{key} must be a nonempty list")
+            if not all(map(_is_int, values)):
+                raise ValueError(f"grid entry {name}.{key} must list integers, got {values!r}")
+    return {"checks": checks, "jobs": _jobs(raw.get("jobs", 1))}
 
 
 def _exit_code(summary: dict) -> int:
@@ -241,8 +241,8 @@ class SweepReport(Record):
         self.reports = reports
 
     @classmethod
-    def collect(cls, config: SweepConfig) -> "SweepReport":
-        return cls(config.as_dict(), list(run_sweep(config)))
+    def collect(cls, config: dict) -> "SweepReport":
+        return cls(config, list(run_sweep(config)))
 
     @property
     def summary(self) -> dict:
@@ -256,8 +256,9 @@ class SweepReport(Record):
         both run under the lifted digit limit, as in main, so an echoed
         grid value of any length round-trips."""
         buf = io.StringIO()
-        _without_digit_limit(write_sweep, buf, self.config, self.reports)
-        return _without_digit_limit(json.loads, buf.getvalue())
+        with _NoDigitLimit():
+            write_sweep(buf, self.config, self.reports)
+            return json.loads(buf.getvalue())
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
@@ -291,10 +292,10 @@ def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, st
     return summary
 
 
-def grid_points(config: SweepConfig) -> Iterator[tuple[str, dict]]:
+def grid_points(config: dict) -> Iterator[tuple[str, dict]]:
     """Yield (name, args) in deterministic order: checks as listed, then the
     Cartesian product lexicographically over sorted parameter names."""
-    for entry in config.checks:
+    for entry in config["checks"]:
         keys = sorted(entry["grid"])
         for combo in itertools.product(*(entry["grid"][key] for key in keys)):
             yield entry["name"], dict(zip(keys, combo))
@@ -304,12 +305,9 @@ def _run_point(point: tuple[str, dict]) -> tuple[str, str]:
     """The point's status and its report's JSON text, encoded in the process
     that ran it under the lifted digit limit, which spawn and forkserver
     workers do not inherit from main."""
-    return _without_digit_limit(_encoded_report, *point)
-
-
-def _encoded_report(name: str, args: dict) -> tuple[str, str]:
-    report = run_check(name, args)
-    return report.status, _encode(report.to_json_dict())
+    with _NoDigitLimit():
+        report = run_check(*point)
+        return report.status, _encode(report.to_json_dict())
 
 
 def _run_chunk(points: list[tuple[str, dict]]) -> list[tuple[str, str]]:
@@ -322,15 +320,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def run_sweep(config: SweepConfig) -> Iterator[tuple[str, str]]:
+def run_sweep(config: dict) -> Iterator[tuple[str, str]]:
     """Yield each grid point's (status, JSON text) pair, in grid order, as
     it is ready.  Points are drawn from grid_points only as the window of
     chunks in flight has room.  Closing the generator early cancels the
     chunks no worker has started and joins the pool."""
-    total = sum(math.prod(map(len, entry["grid"].values())) for entry in config.checks)
+    total = sum(math.prod(map(len, entry["grid"].values())) for entry in config["checks"])
     points = grid_points(config)
     # a fork pool starts all its workers at once, however few points or CPUs there are
-    workers = min(config.jobs, total, _cpus())
+    workers = min(config["jobs"], total, _cpus())
     if workers < 2:
         yield from map(_run_point, points)
         return
@@ -413,42 +411,38 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-        config = None
-        if args.command == "sweep":
+        cmd = args.command
+        if cmd == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = SweepConfig.from_dict(json.load(fh))
+                config = sweep_config(json.load(fh))
             if args.jobs is not None:
-                config.jobs = _jobs(args.jobs)
+                config["jobs"] = _jobs(args.jobs)
         # every input is parsed under the digit limit; results print at any length
-        return _without_digit_limit(_run_command, args, config)
+        with _NoDigitLimit():
+            if cmd == "bernoulli":
+                value = bernoulli.bernoulli(args.n)
+                print(f"{value.numerator}/{value.denominator}")
+                return 0
+
+            if cmd == "sweep":
+                # opened before the grid runs, so an unwritable path costs no checks;
+                # a failed write closes the reports, which shuts the pool down
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    reports = run_sweep(config)
+                    try:
+                        summary = write_sweep(fh, config, reports)
+                    finally:
+                        reports.close()
+                print(_dump({"out": args.out, "summary": summary}))
+                return _exit_code(summary)
+
+            record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+            report = run_check(cmd, record)
+            print(_dump(report.to_json_dict()))
+            return _exit_code({report.status: 1})
     except (OSError, ValueError, RecursionError) as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return 2
-
-
-def _run_command(args: argparse.Namespace, config: SweepConfig | None) -> int:
-    cmd = args.command
-    if cmd == "bernoulli":
-        value = bernoulli.bernoulli(args.n)
-        print(f"{value.numerator}/{value.denominator}")
-        return 0
-
-    if cmd == "sweep":
-        # opened before the grid runs, so an unwritable path costs no checks;
-        # a failed write closes the reports, which shuts the pool down
-        with open(args.out, "w", encoding="utf-8") as fh:
-            reports = run_sweep(config)
-            try:
-                summary = write_sweep(fh, config.as_dict(), reports)
-            finally:
-                reports.close()
-        print(_dump({"out": args.out, "summary": summary}))
-        return _exit_code(summary)
-
-    record = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
-    report = run_check(cmd, record)
-    print(_dump(report.to_json_dict()))
-    return _exit_code({report.status: 1})
 
 
 def entrypoint() -> None:

@@ -27,7 +27,6 @@ from padlab.cli import (
     _PS_FIELDS,
     REGISTRY,
     CheckerSpec,
-    SweepConfig,
     SweepReport,
     _cpus,
     build_parser,
@@ -36,6 +35,7 @@ from padlab.cli import (
     main,
     run_check,
     run_sweep,
+    sweep_config,
 )
 from test_reference_digests import _load_workloads
 
@@ -295,16 +295,16 @@ SWEEP_CONFIGS = {
 
 class TestSweep:
     def test_kummer_grid(self):
-        sweep = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID))
+        sweep = SweepReport.collect(sweep_config(KUMMER_GRID))
         assert sweep.summary == {"total": 3, "held": 3, "failed": 0, "errored": 0}
         assert sweep.exit_code() == 0
 
     def test_empty_config(self):
-        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": []}))
+        sweep = SweepReport.collect(sweep_config({"checks": []}))
         assert sweep.summary == {"total": 0, "held": 0, "failed": 0, "errored": 0}
 
     def test_invalid_point_isolated(self):
-        cfg = SweepConfig.from_dict(
+        cfg = sweep_config(
             {"checks": [{"name": "lemma2", "grid": {"p": [5], "a": [1], "rr": [1], "kk": [4, 5, 10]}}]}
         )
         sweep = SweepReport.collect(cfg)
@@ -330,13 +330,13 @@ class TestSweep:
         errored = {"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}
         for jobs in (1, 2):
             monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
-            sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [errored], "jobs": jobs}))
+            sweep = SweepReport.collect(sweep_config({"checks": [errored], "jobs": jobs}))
             assert sweep.summary["errored"] == 2
             assert not log.exists(), jobs
         # positive control: a pooled kummer point grows its worker's table
         # to B_2 and B_6 while the parent's table stays as it was
         kummer = {"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}
-        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [errored, kummer], "jobs": 2}))
+        sweep = SweepReport.collect(sweep_config({"checks": [errored, kummer], "jobs": 2}))
         assert sweep.summary == {"total": 3, "held": 1, "failed": 0, "errored": 2}
         assert log.read_text() == "2\n6\n"
         assert len(bernoulli_module._TABLE) == 2
@@ -346,11 +346,11 @@ class TestSweep:
         spawned = _spawn_spy(monkeypatch)
         monkeypatch.setattr("padlab.cli._cpus", lambda: 8)
         one = {"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}], "jobs": 4}
-        sweep = SweepReport.collect(SweepConfig.from_dict(one))
+        sweep = SweepReport.collect(sweep_config(one))
         assert spawned == [] and sweep.summary["held"] == 1
         assert sweep.config["jobs"] == 4
         three = {**KUMMER_GRID, "jobs": 4}
-        sweep = SweepReport.collect(SweepConfig.from_dict(three))
+        sweep = SweepReport.collect(sweep_config(three))
         assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 4
         # fork, the default start method on Linux, starts all three at once
         assert spawned == [3] * len(spawned) and 1 <= len(spawned) <= 3
@@ -359,11 +359,11 @@ class TestSweep:
         # so --jobs 100000 cannot fork 10^5 processes; the echoed jobs stays
         spawned = _spawn_spy(monkeypatch)
         monkeypatch.setattr("padlab.cli._cpus", lambda: 2)
-        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 100_000}))
+        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
         assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 100_000
         assert spawned == [2] * len(spawned) and 1 <= len(spawned) <= 2
         monkeypatch.setattr("padlab.cli._cpus", lambda: 1)
-        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 100_000}))
+        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
         assert sweep.summary["held"] == 3 and len(spawned) <= 2
 
     def test_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
@@ -378,7 +378,7 @@ class TestSweep:
     def test_sweep_yields_each_report_as_it_runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr("padlab.cli.run_check", lambda *a: calls.append(a) or run_check(*a))
-        reports = run_sweep(SweepConfig.from_dict(KUMMER_GRID))
+        reports = run_sweep(sweep_config(KUMMER_GRID))
         assert calls == []
         assert next(reports)[0] == "held" and len(calls) == 1
         reports.close()
@@ -397,7 +397,7 @@ class TestSweep:
 
     def test_serial_sweep_draws_the_grid_lazily(self, monkeypatch):
         drawn = self._counted_grid(monkeypatch)
-        reports = run_sweep(SweepConfig.from_dict({"checks": [LEMMA4_40K]}))
+        reports = run_sweep(sweep_config({"checks": [LEMMA4_40K]}))
         assert next(reports)[0] == "held" and drawn == [1]
         reports.close()
 
@@ -406,7 +406,7 @@ class TestSweep:
         # first report 2 * 2 of them have been drawn and submitted
         drawn = self._counted_grid(monkeypatch)
         chunks = _submit_spy(monkeypatch)
-        reports = run_sweep(SweepConfig.from_dict({"checks": [LEMMA4_40K], "jobs": 2}))
+        reports = run_sweep(sweep_config({"checks": [LEMMA4_40K], "jobs": 2}))
         assert next(reports)[0] == "held"
         assert chunks == [512] * 4 and drawn == [2048]
         for _ in range(512):
@@ -430,7 +430,7 @@ class TestSweep:
 
         monkeypatch.setattr("padlab.cli.run_check", slow)
         grid = {k: [v] for k, v in POINTS["lemma4"].items()} | {"n": list(range(1, 801))}
-        reports = run_sweep(SweepConfig.from_dict({"checks": [{"name": "lemma4", "grid": grid}], "jobs": 2}))
+        reports = run_sweep(sweep_config({"checks": [{"name": "lemma4", "grid": grid}], "jobs": 2}))
         next(reports)
         reports.close()
         assert multiprocessing.active_children() == []
@@ -440,13 +440,13 @@ class TestSweep:
     def test_streamed_file_is_the_whole_sweep_dumped(self, monkeypatch, tmp_path, capsys, name, jobs):
         # one list of reports, streamed by main and dumped whole as before
         raw = {"checks": []} if name == "empty" else SWEEP_CONFIGS[name]()
-        config = SweepConfig.from_dict({**raw, "jobs": jobs})
+        config = sweep_config({**raw, "jobs": jobs})
         reports = list(run_sweep(config))
         statuses = [status for status, _ in reports]
         whole = {
             "tool": "padlab",
             "version": padlab.__version__,
-            "config": {"checks": config.checks, "jobs": jobs},
+            "config": {"checks": config["checks"], "jobs": jobs},
             "reports": [json.loads(text) for _, text in reports],
             "summary": {"total": len(reports), **{s: statuses.count(s) for s in ("held", "failed", "errored")}},
         }
@@ -461,7 +461,7 @@ class TestSweep:
             assert '"reports": []' in expected
 
     def test_failed_point_gives_exit_1(self):
-        cfg = SweepConfig.from_dict(
+        cfg = sweep_config(
             {"checks": [{"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2, 4]}}]}
         )
         sweep = SweepReport.collect(cfg)
@@ -469,7 +469,7 @@ class TestSweep:
         assert sweep.exit_code() == 1
 
     def test_ordering_is_lexicographic_in_sorted_params(self):
-        cfg = SweepConfig.from_dict(
+        cfg = sweep_config(
             {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0], "r": [2], "s": [6, 26]}}]}
         )
         points = list(grid_points(cfg))
@@ -477,8 +477,8 @@ class TestSweep:
         assert [(pt[1]["p"], pt[1]["s"]) for pt in points] == [(5, 6), (5, 26), (7, 6), (7, 26)]
 
     def test_determinism_canon(self):
-        one = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
-        two = SweepReport.collect(SweepConfig.from_dict(KUMMER_GRID)).to_json_dict()
+        one = SweepReport.collect(sweep_config(KUMMER_GRID)).to_json_dict()
+        two = SweepReport.collect(sweep_config(KUMMER_GRID)).to_json_dict()
         assert json.dumps(canonical_body(one), sort_keys=True) == json.dumps(
             canonical_body(two), sort_keys=True
         )
@@ -486,8 +486,8 @@ class TestSweep:
     @pytest.mark.parametrize("name", SWEEP_CONFIGS)
     def test_parallel_matches_serial(self, name):
         cfg = SWEEP_CONFIGS[name]()
-        serial, pooled = SweepConfig.from_dict(cfg), SweepConfig.from_dict(cfg)
-        serial.jobs, pooled.jobs = 1, 2
+        serial, pooled = sweep_config(cfg), sweep_config(cfg)
+        serial["jobs"], pooled["jobs"] = 1, 2
         body = canonical_body(SweepReport.collect(serial).to_json_dict())
         assert body == canonical_body(SweepReport.collect(pooled).to_json_dict())
         if name == "region-map-seed-7":
@@ -497,11 +497,11 @@ class TestSweep:
     def test_pool_map_is_chunked(self, monkeypatch):
         # one IPC round trip per chunk of max(1, min(points // (8 * workers), 512)) points
         chunks = _submit_spy(monkeypatch)
-        sweep = SweepReport.collect(SweepConfig.from_dict({"checks": [VSC_40], "jobs": 2}))
+        sweep = SweepReport.collect(sweep_config({"checks": [VSC_40], "jobs": 2}))
         assert sweep.summary["held"] == 40
         assert chunks == [2] * 20
         chunks.clear()
-        sweep = SweepReport.collect(SweepConfig.from_dict({**KUMMER_GRID, "jobs": 2}))
+        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 2}))
         assert sweep.summary["held"] == 3
         assert chunks == [1] * 3
 
@@ -514,7 +514,7 @@ class TestSweep:
         _fork_pool(monkeypatch)
         failing = {"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2]}}
         configs = [({"checks": [VSC_40], "jobs": jobs}, 2), ({"checks": [VSC_40, failing], "jobs": jobs}, 1)]
-        expected = [canonical_body(SweepReport.collect(SweepConfig.from_dict(cfg)).to_json_dict()) for cfg, _ in configs]
+        expected = [canonical_body(SweepReport.collect(sweep_config(cfg)).to_json_dict()) for cfg, _ in configs]
         original = bernoulli_module.von_staudt_clausen_check
 
         def raising(n):
@@ -524,7 +524,7 @@ class TestSweep:
 
         monkeypatch.setattr(bernoulli_module, "von_staudt_clausen_check", raising)
         for (cfg, code), clean in zip(configs, expected):
-            sweep = SweepReport.collect(SweepConfig.from_dict(cfg))
+            sweep = SweepReport.collect(sweep_config(cfg))
             reports = canonical_body(sweep.to_json_dict())["reports"]
             errored = [i for i, r in enumerate(reports) if r["error"] is not None]
             assert errored == [19]
@@ -538,11 +538,11 @@ class TestSweep:
         # so a spawn or forkserver pool shows whether run_check lifts it itself
         grid = {k: [v] for k, v in BIG_SIDES.items()} | {"s0": [2, 3]}
         raw = {"checks": [{"name": "corollary3", "grid": grid}], "jobs": 2}
-        serial = canonical_body(SweepReport.collect(SweepConfig.from_dict({**raw, "jobs": 1})).to_json_dict())
+        serial = canonical_body(SweepReport.collect(sweep_config({**raw, "jobs": 1})).to_json_dict())
         context = multiprocessing.get_context(method)
         pool = functools.partial(ProcessPoolExecutor, mp_context=context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
+        sweep = SweepReport.collect(sweep_config(raw))
         assert sweep.summary == {"total": 2, "held": 2, "failed": 0, "errored": 0}
         assert canonical_body(sweep.to_json_dict()) == serial
 
@@ -557,21 +557,21 @@ class TestSweep:
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
             raw["jobs"] = 2
         spawned = _spawn_spy(monkeypatch)
-        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
+        sweep = SweepReport.collect(sweep_config(raw))
         assert sweep.summary == {"total": 2, "held": 1, "failed": 0, "errored": 1}
         assert (spawned != []) == (method is not None)
         body = canonical_body(sweep.to_json_dict())
         assert body["config"]["checks"][0]["grid"]["kk"] == [5, big]
         assert body["reports"][1]["inputs"]["kk"] == "4" + "0" * 4400
         assert body["reports"][1]["error"] and body["reports"][1]["holds"] is False
-        serial = SweepReport.collect(SweepConfig.from_dict({**raw, "jobs": 1}))
+        serial = SweepReport.collect(sweep_config({**raw, "jobs": 1}))
         assert body == canonical_body(serial.to_json_dict())
 
     def test_heavy_sweep_config(self):
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
         # (11,2,2) and (7,2,2); the summary pins every verdict
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "heavy_sweep.json").read_text())
-        sweep = SweepReport.collect(SweepConfig.from_dict(raw))
+        sweep = SweepReport.collect(sweep_config(raw))
         assert sweep.summary == {"total": 10, "held": 10, "failed": 0, "errored": 0}
         reports = sweep.to_json_dict()["reports"]
         assert [r["margin"] for r in reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
@@ -580,40 +580,40 @@ class TestSweep:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):
-            SweepConfig.from_dict({"checks": [{"name": "nope", "grid": {"p": [5]}}]})
+            sweep_config({"checks": [{"name": "nope", "grid": {"p": [5]}}]})
         with pytest.raises(ValueError, match=r"unknown parameters for 'kummer': \['q'\]"):
-            SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6], "q": [1]}}]})
+            sweep_config({"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6], "q": [1]}}]})
         with pytest.raises(ValueError, match=r"missing parameters for 'kummer': \['a', 'r', 's'\]"):
-            SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": {"p": [5]}}]})
+            sweep_config({"checks": [{"name": "kummer", "grid": {"p": [5]}}]})
         with pytest.raises(ValueError, match="'checks' must be a list"):
-            SweepConfig.from_dict({"checks": {}})
+            sweep_config({"checks": {}})
         for grid in (None, {}, [["p", [5]]]):
             with pytest.raises(ValueError, match="check 'kummer' needs a nonempty 'grid' object"):
-                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
+                sweep_config({"checks": [{"name": "kummer", "grid": grid}]})
         for values in ([], 5, None):
             grid = {"p": [5], "a": [0], "r": values, "s": [6]}
             with pytest.raises(ValueError, match=r"grid entry kummer\.r must be a nonempty list"):
-                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
+                sweep_config({"checks": [{"name": "kummer", "grid": grid}]})
         with pytest.raises(ValueError, match="checks"):
-            SweepConfig.from_dict({})
+            sweep_config({})
         with pytest.raises(ValueError, match="must be an object"):
-            SweepConfig.from_dict({"checks": [5]})
+            sweep_config({"checks": [5]})
         for name in (5, ["kummer"], None):
             with pytest.raises(ValueError, match="unknown checker"):
-                SweepConfig.from_dict({"checks": [{"name": name, "grid": {"p": [5]}}]})
+                sweep_config({"checks": [{"name": name, "grid": {"p": [5]}}]})
         for bad in ("5", 5.0, True, False, None):
             grid = {"p": [5, bad], "a": [0], "r": [2], "s": [6]}
             with pytest.raises(ValueError, match="must list integers"):
-                SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid}]})
+                sweep_config({"checks": [{"name": "kummer", "grid": grid}]})
         for jobs in (-3, 0, True, False, 2.0, "2", None):
             with pytest.raises(ValueError, match="jobs"):
-                SweepConfig.from_dict({"checks": [], "jobs": jobs})
+                sweep_config({"checks": [], "jobs": jobs})
         with pytest.raises(ValueError, match=r"unknown sweep config keys: \['jbos'\]"):
-            SweepConfig.from_dict({"checks": [], "jbos": 4})
+            sweep_config({"checks": [], "jbos": 4})
         grid = {"p": [5], "a": [0], "r": [2], "s": [6]}
         with pytest.raises(ValueError, match=r"unknown keys in check 'kummer': \['grdi'\]"):
-            SweepConfig.from_dict({"checks": [{"name": "kummer", "grid": grid, "grdi": {}}]})
-        assert SweepConfig.from_dict({"checks": [], "jobs": 3}).jobs == 3
+            sweep_config({"checks": [{"name": "kummer", "grid": grid, "grdi": {}}]})
+        assert sweep_config({"checks": [], "jobs": 3})["jobs"] == 3
 
 
 class TestMain:
@@ -676,6 +676,17 @@ class TestMain:
         assert capsys.readouterr().out.strip() == "-691/2730"
         assert main(["bernoulli", "--n", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1/1"
+
+    def test_bernoulli_prints_past_the_digit_limit(self, capsys):
+        # B_2100's numerator has 4419 digits and a sign, more than the 4300
+        # digits Python converts by default: main prints it under its lift
+        limit = _int_str_digits()
+        assert main(["bernoulli", "--n", "2100"]) == 0
+        numerator, denominator = capsys.readouterr().out.strip().split("/")
+        value = bernoulli_module.bernoulli(2100)
+        assert len(numerator) == 4420 and numerator[0] == "-"
+        assert int(numerator[-20:]) == -value.numerator % 10**20 and denominator == str(value.denominator)
+        assert _int_str_digits() == limit
 
     def test_stabilizer_output(self, capsys):
         # theorem3 reports the stabilizer's order as lhs and its generator
@@ -775,6 +786,42 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err)["error"]
+
+
+@pytest.fixture
+def _limit_5000():
+    """Set the int <-> str digit limit to 5000, not the default 4300, for
+    one test, and restore it after."""
+    limit = _int_str_digits()
+    if limit is None:
+        pytest.skip("Python < 3.10.7 has no digit limit")
+    sys.set_int_max_str_digits(5000)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.usefixtures("_limit_5000")
+class TestEveryLiftRestoresTheCallersLimit:
+    """Each lift of the digit limit restores the limit its caller had, not
+    the default 4300."""
+
+    def test_run_check(self):
+        assert run_check("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 4}).status == "errored"
+        assert _int_str_digits() == 5000
+        assert run_check("kummer", POINTS["kummer"]).status == "held"
+        assert _int_str_digits() == 5000
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_report_to_json_dict(self, jobs):
+        body = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": jobs})).to_json_dict()
+        assert body["summary"]["held"] == 3
+        assert _int_str_digits() == 5000
+
+    def test_main_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(KUMMER_GRID))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 0
+        assert _int_str_digits() == 5000
 
 
 def _exits(capsys, parse, argv) -> tuple:
