@@ -21,7 +21,7 @@ from math import perm
 
 from .padic_core import vp
 from .params import ParameterSet, f_exponents
-from .report import MARGIN_WINDOW, CheckReport, rational_margin
+from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
 def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int) -> Iterator[int]:
@@ -103,8 +103,8 @@ def corollary3_check(ps: ParameterSet, s0: int, kk: int, x: int) -> CheckReport:
     """Check f(s + p^kk x) ≡ f(s) + f'(s) p^kk x mod p^(2a+t+v+2kk) at s = s0.
 
     When v < t the congruence is also claimed one exponent higher; both
-    verdicts are reported and the overall verdict includes the strong
-    form exactly when it applies.
+    verdicts are reported, and the weak report from congruence_report
+    takes on the strong form exactly when it applies.
     """
     p = ps.p
     if s0 % p == 0:
@@ -117,31 +117,22 @@ def corollary3_check(ps: ParameterSet, s0: int, kk: int, x: int) -> CheckReport:
     cap = strong_exp + MARGIN_WINDOW
     big = p**cap
 
-    lhs_big = derivative_mod(ps, 0, s0 + p**kk * x, big)
-    rhs_big = (derivative_mod(ps, 0, s0, big) + derivative_mod(ps, 1, s0, big) * p**kk * x) % big
-
-    diff = (lhs_big - rhs_big) % big
+    lhs = derivative_mod(ps, 0, s0 + p**kk * x, big)
+    rhs = (derivative_mod(ps, 0, s0, big) + derivative_mod(ps, 1, s0, big) * p**kk * x) % big
+    diff = (lhs - rhs) % big
     val = cap if diff == 0 else vp(diff, p)
-    weak_holds = val >= weak_exp
-    strong_holds = val >= strong_exp
     strong_applies = ps.v < ps.t
-
-    return CheckReport(
-        name="corollary3",
-        inputs={**ps.as_dict(), "s": s0, "kk": kk, "x": x},
-        holds=weak_holds and (strong_holds or not strong_applies),
-        lhs=str(lhs_big % p**weak_exp),
-        rhs=str(rhs_big % p**weak_exp),
-        modulus=(p, weak_exp),
-        margin=rational_margin(diff, p, weak_exp),
-        details={
-            "weak_holds": weak_holds,
-            "strong_holds": strong_holds,
-            "strong_applies": strong_applies,
-            "difference_valuation": val,
-            "saturated": val == cap,
-        },
-    )
+    details = {
+        "weak_holds": val >= weak_exp,
+        "strong_holds": val >= strong_exp,
+        "strong_applies": strong_applies,
+        "difference_valuation": val,
+        "saturated": val == cap,
+    }
+    inputs = {**ps.as_dict(), "s": s0, "kk": kk, "x": x}
+    report = congruence_report("corollary3", inputs, lhs, rhs, p, weak_exp, details)
+    report.holds = val >= weak_exp and (val >= strong_exp or not strong_applies)
+    return report
 
 
 def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:

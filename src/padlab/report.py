@@ -3,20 +3,20 @@
 A CheckReport says whether a congruence held, shows both sides, and
 carries a valuation margin: vp(lhs - rhs) minus the required modulus
 exponent, saturated at +MARGIN_WINDOW.  Every two-sided checker (kummer,
-case1/2/3, theorem2, lemma1, lemma2) builds its report with
+case1/2/3, theorem2, lemma1, lemma2, corollary3) builds its report with
 congruence_report, from sides that are exact or already reduced mod
 p^(E + MARGIN_WINDOW); the saturated margin is the same either way.
-rational_margin states that rule once; corollary3 and adams call it on
-their own differences.  corollary2 is the one unsaturated reporter: it
-reads the exact valuation of its sum from residues mod p^K, doubling K
-from E + MARGIN_WINDOW while the residue is 0.  A margin is None for
+rational_margin states that rule once; only adams calls it on its own
+difference.  corollary2 is the one unsaturated reporter: it reads the
+exact valuation of its sum from residues mod p^K, doubling K from
+E + MARGIN_WINDOW while the residue is 0.  A margin is None for
 checks with no scalar difference (multiset equality, counts).
 
 CheckReport and padlab's other value types are plain classes on Record,
 which compares and prints them by their attributes as a dataclass does:
 the same arguments give an equal report.  They keep their attributes in
-a __dict__, so a pool pickles them as fast as it did dataclasses, and
-importing padlab loads neither dataclasses nor inspect.
+a __dict__, which a pool pickles directly, and importing padlab loads
+neither dataclasses nor inspect.
 """
 
 from fractions import Fraction

@@ -2,9 +2,9 @@
 mod p^M, the multiplication action of the unit group on it, and stabilizer
 classification.
 
-build_S collects f(1..p^(a+1)) keeping invertible values only, with
-multiplicity; f itself is evaluated in jet.derivative_values, here as
-everywhere.  theorem1_check verifies that every d-th root of unity
+build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
+the p - 1 unit classes mod p; f itself is evaluated in
+jet.derivative_values, here as everywhere.  theorem1_check verifies that every d-th root of unity
 fixes the multiset; stabilizer computes the full stabilizer subgroup
 (cyclic, so it is determined by the largest stabilizing prime-power
 orders); theorem3_check compares the stabilizer order against d*p^a
@@ -62,26 +62,28 @@ class SubgroupDescriptor(Record):
         self.M = M
 
 
-def _f_multiset(ps: ParameterSet, ns: range) -> ResidueMultiset:
-    """The multiset of invertible values f(n) mod p^M over n in ns."""
-    counts = Counter(v for v in derivative_values(ps, 0, ns, ps.p**ps.M) if v % ps.p)
-    return ResidueMultiset(ps.p, ps.M, dict(counts))
+def _f_multiset(ps: ParameterSet, classes: range | tuple[int, ...]) -> ResidueMultiset:
+    """The multiset of values f(n) mod p^M over the units n = r + p*q <= p^(a+1)
+    with r in classes, 1 <= r < p; taken in increasing n.
+
+    f(n) ≡ 2n^(kp^t) mod p, so every value is invertible, as
+    ResidueMultiset checks.
+    """
+    ns = (r + ps.p * q for q in range(ps.p**ps.a) for r in classes)
+    return ResidueMultiset(ps.p, ps.M, dict(Counter(derivative_values(ps, 0, ns, ps.p**ps.M))))
 
 
 def build_S(ps: ParameterSet) -> ResidueMultiset:
-    """The multiset of invertible values f(n) mod p^M for n = 1..p^(a+1).
-
-    Values divisible by p (exactly the n with p | n) are dropped, so the
-    total multiplicity is p^(a+1) - p^a.
-    """
-    return _f_multiset(ps, range(1, ps.p ** (ps.a + 1) + 1))
+    """The multiset of values f(n) mod p^M over the units n <= p^(a+1), all
+    p - 1 unit classes mod p: total multiplicity p^(a+1) - p^a."""
+    return _f_multiset(ps, range(1, ps.p))
 
 
 def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
-    """As build_S but restricted to n ≡ x (mod p); total multiplicity p^a."""
+    """As build_S but over the one class n ≡ x (mod p); total multiplicity p^a."""
     if x % ps.p == 0:
         raise ValueError(f"x = {x} must be invertible mod p = {ps.p}")
-    return _f_multiset(ps, range(x % ps.p, ps.p ** (ps.a + 1) + 1, ps.p))
+    return _f_multiset(ps, (x % ps.p,))
 
 
 def act(g: int, s: ResidueMultiset) -> ResidueMultiset:

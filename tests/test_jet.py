@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import padlab.jet as jet
 from padlab.cli import run_check
 from padlab.jet import (
     corollary3_check,
@@ -162,6 +163,27 @@ class TestCorollary3:
         assert rep.holds
         assert rep.details["strong_applies"] and rep.details["strong_holds"]
         assert rep.details["difference_valuation"] >= 4
+
+    def test_weak_form_alone_at_v_equal_t(self):
+        rep = corollary3_check(PS, 2, 1, 3)
+        assert rep.holds and rep.margin == 0
+        assert not rep.details["strong_applies"] and not rep.details["strong_holds"]
+
+    def test_verdict_needs_strong_form_at_v_below_t(self, monkeypatch):
+        # raise f(s0 + p^kk x) by p^weak_exp: the weak congruence then holds
+        # at margin 0 and the strong one fails, so the verdict must fail
+        s0, kk, x = 2, 1, 3
+        weak_exp = 2 * PS_T1.a + PS_T1.t + PS_T1.v + 2 * kk
+        real = jet.derivative_mod
+
+        def shifted(ps, m, n, modulus):
+            bump = PS_T1.p**weak_exp if (m, n) == (0, s0 + PS_T1.p**kk * x) else 0
+            return (real(ps, m, n, modulus) + bump) % modulus
+
+        monkeypatch.setattr(jet, "derivative_mod", shifted)
+        rep = corollary3_check(PS_T1, s0, kk, x)
+        assert rep.margin == 0 and rep.details["strong_applies"]
+        assert not rep.details["strong_holds"] and not rep.holds
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="invertible"):

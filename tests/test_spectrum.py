@@ -74,6 +74,25 @@ class TestBuildS:
             ps = ParameterSet(*args)
             assert build_S(ps).total() == ps.p ** (ps.a + 1) - ps.p**ps.a
 
+    @pytest.mark.parametrize("args", [(5, 0, 0, 10), (5, 1, 0, 125), (7, 1, 1, 343)])
+    def test_evaluates_f_only_at_units(self, monkeypatch, args):
+        # f(n) ≡ 2n^(kp^t) mod p is a unit exactly when n is, so a multiple
+        # of p would be evaluated only for its value to be dropped
+        ps = ParameterSet(*args)
+        seen = []
+        real = spectrum_module.derivative_values
+
+        def spy(ps_, m, ns, modulus):
+            ns = list(ns)
+            seen.extend(ns)
+            return real(ps_, m, ns, modulus)
+
+        monkeypatch.setattr(spectrum_module, "derivative_values", spy)
+        rep = theorem1_check(ps)
+        assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
+        assert all(n % ps.p for n in seen)
+        assert rep.details["dropped_values"] == ps.p**ps.a
+
     def test_restricted_example(self):
         assert build_S_x(PS, 2).counts == {23: 1}
 
