@@ -30,8 +30,8 @@ number of points.  Each point's report is encoded where it ran
 Serial or pooled, each process grows its own Bernoulli table lazily,
 only as far as the points it runs read.  write_sweep is the sweep file's
 one layout: main streams the pairs into --out one at a time, so it never
-holds the whole sweep, and SweepReport.collect gathers one in memory for
-library callers.
+holds the whole sweep, and SweepReport.to_json_dict reads back the file
+for pairs a library caller has gathered.
 
 main is the one input boundary: outside input (flags, the config file,
 the --out path) that is unreadable, over-nested or invalid reaches its
@@ -239,17 +239,6 @@ class SweepReport(Record):
     def __init__(self, config: dict, reports: list[tuple[str, str]]):
         self.config = config
         self.reports = reports
-
-    @classmethod
-    def collect(cls, config: dict) -> "SweepReport":
-        return cls(config, list(run_sweep(config)))
-
-    @property
-    def summary(self) -> dict:
-        return _summary(status for status, _ in self.reports)
-
-    def exit_code(self) -> int:
-        return _exit_code(self.summary)
 
     def to_json_dict(self) -> dict:
         """The sweep file's object, read back from what write_sweep writes;

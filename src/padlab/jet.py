@@ -7,13 +7,13 @@ f^(m)(n) has the falling-factorial closed form
 
 for the order m >= 0 (m = 0 gives f itself; beyond min(e+, e-) a
 monomial just vanishes).  derivative_values is the one place f and f^(m)
-are evaluated: spectrum's value multisets, lemma5's count and the point
-form derivative_mod all go through it.  A valuation computed mod p^cap
-that meets 0 reports as ">= cap" (valuations of polynomial values at
-residue classes are minima over the class, so saturation is the honest
-answer).  On top of that sit the valuation claim matrix for f^(m), the
-first-order Taylor truncation check, and the count of near-critical
-points of f'.
+are evaluated; unit_values walks the units n <= p^(a+1) for spectrum's
+value multisets and lemma5's count, and derivative_mod is the point form
+of derivative_values.  A valuation computed mod p^cap that meets 0
+reports as ">= cap" (valuations of polynomial values at residue classes
+are minima over the class, so saturation is the honest answer).  On top
+of that sit the valuation claim matrix for f^(m), the first-order Taylor
+truncation check, and the count of near-critical points of f'.
 """
 
 from collections.abc import Iterable, Iterator
@@ -35,6 +35,13 @@ def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int)
         raise ValueError("derivative order must be nonnegative")
     (c_plus, x_plus), (c_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
     return ((c_plus * pow(n, x_plus, modulus) + c_minus * pow(n, x_minus, modulus)) % modulus for n in ns)
+
+
+def unit_values(ps: ParameterSet, m: int, classes: range | tuple[int, ...], modulus: int) -> Iterator[int]:
+    """f^(m)(n) mod modulus over the units n = r + p*q <= p^(a+1) whose
+    class r mod p is in classes (increasing, 1 <= r < p); in increasing n."""
+    ns = (r + ps.p * q for q in range(ps.p**ps.a) for r in classes)
+    return derivative_values(ps, m, ns, modulus)
 
 
 def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:
@@ -147,8 +154,7 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     # vp(f'(u)) >= threshold exactly when f'(u) ≡ 0 mod p^threshold
-    units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
-    count = sum(v == 0 for v in derivative_values(ps, 1, units, ps.p**threshold))
+    count = sum(v == 0 for v in unit_values(ps, 1, range(1, ps.p), ps.p**threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

@@ -3,11 +3,12 @@ mod p^M, the multiplication action of the unit group on it, and stabilizer
 classification.
 
 build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
-the p - 1 unit classes mod p; f itself is evaluated in
-jet.derivative_values, here as everywhere.  theorem1_check verifies that every d-th root of unity
-fixes the multiset; stabilizer computes the full stabilizer subgroup
-(cyclic, so it is determined by the largest stabilizing prime-power
-orders); theorem3_check compares the stabilizer order against d*p^a
+the p - 1 unit classes mod p, and build_S_x over one class; both take
+the values from jet.unit_values, the one walk of f's unit domain.
+theorem1_check verifies that every d-th root of unity fixes the
+multiset; stabilizer computes the full stabilizer subgroup (cyclic, so
+it is determined by the largest stabilizing prime-power orders);
+theorem3_check compares the stabilizer order against d*p^a
 (v < t) or d (v = t).  j_balanced is the fiber-equidistribution
 diagnostic that controls the p-part of the stabilizer; balance_check
 verifies that it agrees with the stabilizer order, j by j.
@@ -20,7 +21,7 @@ checks at construction that its generator has the order it states.
 from collections import Counter
 from math import gcd
 
-from .jet import derivative_mod, derivative_values
+from .jet import derivative_mod, unit_values
 from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
 from .params import ParameterSet
 from .report import CheckReport, Record
@@ -62,28 +63,21 @@ class SubgroupDescriptor(Record):
         self.M = M
 
 
-def _f_multiset(ps: ParameterSet, classes: range | tuple[int, ...]) -> ResidueMultiset:
-    """The multiset of values f(n) mod p^M over the units n = r + p*q <= p^(a+1)
-    with r in classes, 1 <= r < p; taken in increasing n.
+def build_S(ps: ParameterSet) -> ResidueMultiset:
+    """The multiset of values f(n) mod p^M over the units n <= p^(a+1), all
+    p - 1 unit classes mod p: total multiplicity p^(a+1) - p^a.
 
     f(n) ≡ 2n^(kp^t) mod p, so every value is invertible, as
     ResidueMultiset checks.
     """
-    ns = (r + ps.p * q for q in range(ps.p**ps.a) for r in classes)
-    return ResidueMultiset(ps.p, ps.M, dict(Counter(derivative_values(ps, 0, ns, ps.p**ps.M))))
-
-
-def build_S(ps: ParameterSet) -> ResidueMultiset:
-    """The multiset of values f(n) mod p^M over the units n <= p^(a+1), all
-    p - 1 unit classes mod p: total multiplicity p^(a+1) - p^a."""
-    return _f_multiset(ps, range(1, ps.p))
+    return ResidueMultiset(ps.p, ps.M, dict(Counter(unit_values(ps, 0, range(1, ps.p), ps.p**ps.M))))
 
 
 def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
     """As build_S but over the one class n ≡ x (mod p); total multiplicity p^a."""
     if x % ps.p == 0:
         raise ValueError(f"x = {x} must be invertible mod p = {ps.p}")
-    return _f_multiset(ps, (x % ps.p,))
+    return ResidueMultiset(ps.p, ps.M, dict(Counter(unit_values(ps, 0, (x % ps.p,), ps.p**ps.M))))
 
 
 def act(g: int, s: ResidueMultiset) -> ResidueMultiset:

@@ -29,6 +29,7 @@ from padlab.cli import (
     CheckerSpec,
     SweepReport,
     _cpus,
+    _exit_code,
     build_parser,
     canonical_body,
     grid_points,
@@ -101,6 +102,12 @@ def _submit_spy(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
     return chunks
+
+
+def _sweep_file(config: dict) -> dict:
+    """The sweep file's object for config, as a library caller gets it:
+    run_sweep's pairs, gathered and read back through SweepReport."""
+    return SweepReport(config, list(run_sweep(config))).to_json_dict()
 
 
 # a holding corollary3 point whose sides have 4473 digits, more than the
@@ -288,28 +295,29 @@ SWEEP_CONFIGS = {
     "kummer-grid": lambda: {"checks": [{"name": "kummer", "grid": {"p": [5, 7], "a": [0, 1], "r": [2, 6], "s": [26, 46]}}]},
     "acceptance-sweep": lambda: json.loads((ROOT / "configs" / "acceptance_sweep.json").read_text()),
     "heavy-sweep": lambda: json.loads((ROOT / "configs" / "heavy_sweep.json").read_text()),
-    # the benchmark's region-map config: 10488 points from all 17 checkers
+    # the benchmark's region-map config: 10488 points from 17 of the 18
+    # checkers; balance is in no benchmark workload
     "region-map-seed-7": lambda: _load_workloads().WORKLOADS["region-map"].config(7),
 }
 
 
 class TestSweep:
     def test_kummer_grid(self):
-        sweep = SweepReport.collect(sweep_config(KUMMER_GRID))
-        assert sweep.summary == {"total": 3, "held": 3, "failed": 0, "errored": 0}
-        assert sweep.exit_code() == 0
+        sweep = _sweep_file(sweep_config(KUMMER_GRID))
+        assert sweep["summary"] == {"total": 3, "held": 3, "failed": 0, "errored": 0}
+        assert _exit_code(sweep["summary"]) == 0
 
     def test_empty_config(self):
-        sweep = SweepReport.collect(sweep_config({"checks": []}))
-        assert sweep.summary == {"total": 0, "held": 0, "failed": 0, "errored": 0}
+        sweep = _sweep_file(sweep_config({"checks": []}))
+        assert sweep["summary"] == {"total": 0, "held": 0, "failed": 0, "errored": 0}
 
     def test_invalid_point_isolated(self):
         cfg = sweep_config(
             {"checks": [{"name": "lemma2", "grid": {"p": [5], "a": [1], "rr": [1], "kk": [4, 5, 10]}}]}
         )
-        sweep = SweepReport.collect(cfg)
-        assert sweep.summary == {"total": 3, "held": 2, "failed": 0, "errored": 1}
-        assert sweep.exit_code() == 2
+        sweep = _sweep_file(cfg)
+        assert sweep["summary"] == {"total": 3, "held": 2, "failed": 0, "errored": 1}
+        assert _exit_code(sweep["summary"]) == 2
 
     def test_serial_sweep_grows_table_only_for_points_that_read_it(self, monkeypatch, tmp_path):
         # k = 15 fails 2p | k, so both case2 points error before they would
@@ -330,14 +338,14 @@ class TestSweep:
         errored = {"name": "case2", "grid": {"p": [5], "a": [0], "t": [2], "k": [15], "b": [2, 3]}}
         for jobs in (1, 2):
             monkeypatch.setattr(bernoulli_module, "_TABLE", BernoulliTable())
-            sweep = SweepReport.collect(sweep_config({"checks": [errored], "jobs": jobs}))
-            assert sweep.summary["errored"] == 2
+            sweep = _sweep_file(sweep_config({"checks": [errored], "jobs": jobs}))
+            assert sweep["summary"]["errored"] == 2
             assert not log.exists(), jobs
         # positive control: a pooled kummer point grows its worker's table
         # to B_2 and B_6 while the parent's table stays as it was
         kummer = {"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}
-        sweep = SweepReport.collect(sweep_config({"checks": [errored, kummer], "jobs": 2}))
-        assert sweep.summary == {"total": 3, "held": 1, "failed": 0, "errored": 2}
+        sweep = _sweep_file(sweep_config({"checks": [errored, kummer], "jobs": 2}))
+        assert sweep["summary"] == {"total": 3, "held": 1, "failed": 0, "errored": 2}
         assert log.read_text() == "2\n6\n"
         assert len(bernoulli_module._TABLE) == 2
 
@@ -346,12 +354,12 @@ class TestSweep:
         spawned = _spawn_spy(monkeypatch)
         monkeypatch.setattr("padlab.cli._cpus", lambda: 8)
         one = {"checks": [{"name": "kummer", "grid": {"p": [5], "a": [0], "r": [2], "s": [6]}}], "jobs": 4}
-        sweep = SweepReport.collect(sweep_config(one))
-        assert spawned == [] and sweep.summary["held"] == 1
-        assert sweep.config["jobs"] == 4
+        sweep = _sweep_file(sweep_config(one))
+        assert spawned == [] and sweep["summary"]["held"] == 1
+        assert sweep["config"]["jobs"] == 4
         three = {**KUMMER_GRID, "jobs": 4}
-        sweep = SweepReport.collect(sweep_config(three))
-        assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 4
+        sweep = _sweep_file(sweep_config(three))
+        assert sweep["summary"]["held"] == 3 and sweep["config"]["jobs"] == 4
         # fork, the default start method on Linux, starts all three at once
         assert spawned == [3] * len(spawned) and 1 <= len(spawned) <= 3
 
@@ -359,12 +367,12 @@ class TestSweep:
         # so --jobs 100000 cannot fork 10^5 processes; the echoed jobs stays
         spawned = _spawn_spy(monkeypatch)
         monkeypatch.setattr("padlab.cli._cpus", lambda: 2)
-        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
-        assert sweep.summary["held"] == 3 and sweep.config["jobs"] == 100_000
+        sweep = _sweep_file(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
+        assert sweep["summary"]["held"] == 3 and sweep["config"]["jobs"] == 100_000
         assert spawned == [2] * len(spawned) and 1 <= len(spawned) <= 2
         monkeypatch.setattr("padlab.cli._cpus", lambda: 1)
-        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
-        assert sweep.summary["held"] == 3 and len(spawned) <= 2
+        sweep = _sweep_file(sweep_config({**KUMMER_GRID, "jobs": 100_000}))
+        assert sweep["summary"]["held"] == 3 and len(spawned) <= 2
 
     def test_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -464,9 +472,9 @@ class TestSweep:
         cfg = sweep_config(
             {"checks": [{"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2, 4]}}]}
         )
-        sweep = SweepReport.collect(cfg)
-        assert sweep.summary["failed"] == 1
-        assert sweep.exit_code() == 1
+        sweep = _sweep_file(cfg)
+        assert sweep["summary"]["failed"] == 1
+        assert _exit_code(sweep["summary"]) == 1
 
     def test_ordering_is_lexicographic_in_sorted_params(self):
         cfg = sweep_config(
@@ -477,8 +485,8 @@ class TestSweep:
         assert [(pt[1]["p"], pt[1]["s"]) for pt in points] == [(5, 6), (5, 26), (7, 6), (7, 26)]
 
     def test_determinism_canon(self):
-        one = SweepReport.collect(sweep_config(KUMMER_GRID)).to_json_dict()
-        two = SweepReport.collect(sweep_config(KUMMER_GRID)).to_json_dict()
+        one = _sweep_file(sweep_config(KUMMER_GRID))
+        two = _sweep_file(sweep_config(KUMMER_GRID))
         assert json.dumps(canonical_body(one), sort_keys=True) == json.dumps(
             canonical_body(two), sort_keys=True
         )
@@ -488,8 +496,8 @@ class TestSweep:
         cfg = SWEEP_CONFIGS[name]()
         serial, pooled = sweep_config(cfg), sweep_config(cfg)
         serial["jobs"], pooled["jobs"] = 1, 2
-        body = canonical_body(SweepReport.collect(serial).to_json_dict())
-        assert body == canonical_body(SweepReport.collect(pooled).to_json_dict())
+        body = canonical_body(_sweep_file(serial))
+        assert body == canonical_body(_sweep_file(pooled))
         if name == "region-map-seed-7":
             # chunks of min(10488 // 16, 512) = 512 points
             assert body["summary"]["total"] == 10488
@@ -497,12 +505,12 @@ class TestSweep:
     def test_pool_map_is_chunked(self, monkeypatch):
         # one IPC round trip per chunk of max(1, min(points // (8 * workers), 512)) points
         chunks = _submit_spy(monkeypatch)
-        sweep = SweepReport.collect(sweep_config({"checks": [VSC_40], "jobs": 2}))
-        assert sweep.summary["held"] == 40
+        sweep = _sweep_file(sweep_config({"checks": [VSC_40], "jobs": 2}))
+        assert sweep["summary"]["held"] == 40
         assert chunks == [2] * 20
         chunks.clear()
-        sweep = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": 2}))
-        assert sweep.summary["held"] == 3
+        sweep = _sweep_file(sweep_config({**KUMMER_GRID, "jobs": 2}))
+        assert sweep["summary"]["held"] == 3
         assert chunks == [1] * 3
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
@@ -514,7 +522,7 @@ class TestSweep:
         _fork_pool(monkeypatch)
         failing = {"name": "lemma1", "grid": {"p": [5], "a": [1], "r": [2]}}
         configs = [({"checks": [VSC_40], "jobs": jobs}, 2), ({"checks": [VSC_40, failing], "jobs": jobs}, 1)]
-        expected = [canonical_body(SweepReport.collect(sweep_config(cfg)).to_json_dict()) for cfg, _ in configs]
+        expected = [canonical_body(_sweep_file(sweep_config(cfg))) for cfg, _ in configs]
         original = bernoulli_module.von_staudt_clausen_check
 
         def raising(n):
@@ -524,13 +532,13 @@ class TestSweep:
 
         monkeypatch.setattr(bernoulli_module, "von_staudt_clausen_check", raising)
         for (cfg, code), clean in zip(configs, expected):
-            sweep = SweepReport.collect(sweep_config(cfg))
-            reports = canonical_body(sweep.to_json_dict())["reports"]
+            sweep = _sweep_file(sweep_config(cfg))
+            reports = canonical_body(sweep)["reports"]
             errored = [i for i, r in enumerate(reports) if r["error"] is not None]
             assert errored == [19]
             assert reports[19]["error"] == "injected at n = 40" and reports[19]["holds"] is False
             assert reports[:19] + reports[20:] == clean["reports"][:19] + clean["reports"][20:]
-            assert sweep.exit_code() == code
+            assert _exit_code(sweep["summary"]) == code
 
     @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_verdicts_do_not_depend_on_start_method(self, monkeypatch, method):
@@ -538,13 +546,13 @@ class TestSweep:
         # so a spawn or forkserver pool shows whether run_check lifts it itself
         grid = {k: [v] for k, v in BIG_SIDES.items()} | {"s0": [2, 3]}
         raw = {"checks": [{"name": "corollary3", "grid": grid}], "jobs": 2}
-        serial = canonical_body(SweepReport.collect(sweep_config({**raw, "jobs": 1})).to_json_dict())
+        serial = canonical_body(_sweep_file(sweep_config({**raw, "jobs": 1})))
         context = multiprocessing.get_context(method)
         pool = functools.partial(ProcessPoolExecutor, mp_context=context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        sweep = SweepReport.collect(sweep_config(raw))
-        assert sweep.summary == {"total": 2, "held": 2, "failed": 0, "errored": 0}
-        assert canonical_body(sweep.to_json_dict()) == serial
+        sweep = _sweep_file(sweep_config(raw))
+        assert sweep["summary"] == {"total": 2, "held": 2, "failed": 0, "errored": 0}
+        assert canonical_body(sweep) == serial
 
     @pytest.mark.parametrize("method", [None, "fork", "spawn", "forkserver"])
     def test_inputs_of_any_length_encode_serial_and_pooled(self, monkeypatch, method):
@@ -557,23 +565,23 @@ class TestSweep:
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
             raw["jobs"] = 2
         spawned = _spawn_spy(monkeypatch)
-        sweep = SweepReport.collect(sweep_config(raw))
-        assert sweep.summary == {"total": 2, "held": 1, "failed": 0, "errored": 1}
+        sweep = _sweep_file(sweep_config(raw))
+        assert sweep["summary"] == {"total": 2, "held": 1, "failed": 0, "errored": 1}
         assert (spawned != []) == (method is not None)
-        body = canonical_body(sweep.to_json_dict())
+        body = canonical_body(sweep)
         assert body["config"]["checks"][0]["grid"]["kk"] == [5, big]
         assert body["reports"][1]["inputs"]["kk"] == "4" + "0" * 4400
         assert body["reports"][1]["error"] and body["reports"][1]["holds"] is False
-        serial = SweepReport.collect(sweep_config({**raw, "jobs": 1}))
-        assert body == canonical_body(serial.to_json_dict())
+        serial = _sweep_file(sweep_config({**raw, "jobs": 1}))
+        assert body == canonical_body(serial)
 
     def test_heavy_sweep_config(self):
         # power sums over 10^6 or more terms, and corollary2 at (11,2,1),
         # (11,2,2) and (7,2,2); the summary pins every verdict
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "heavy_sweep.json").read_text())
-        sweep = SweepReport.collect(sweep_config(raw))
-        assert sweep.summary == {"total": 10, "held": 10, "failed": 0, "errored": 0}
-        reports = sweep.to_json_dict()["reports"]
+        sweep = _sweep_file(sweep_config(raw))
+        assert sweep["summary"] == {"total": 10, "held": 10, "failed": 0, "errored": 0}
+        reports = sweep["reports"]
         assert [r["margin"] for r in reports] == [0, 0, 0, 0, 1, 8, 8, 3, 4, 4]
         # details render their ints as decimal strings
         assert [r["details"]["sum_valuation"] for r in reports[-3:]] == ["12", "14", "14"]
@@ -813,7 +821,7 @@ class TestEveryLiftRestoresTheCallersLimit:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_report_to_json_dict(self, jobs):
-        body = SweepReport.collect(sweep_config({**KUMMER_GRID, "jobs": jobs})).to_json_dict()
+        body = _sweep_file(sweep_config({**KUMMER_GRID, "jobs": jobs}))
         assert body["summary"]["held"] == 3
         assert _int_str_digits() == 5000
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padlab.jet as jet
@@ -13,6 +13,7 @@ from padlab.jet import (
     derivative_values,
     lemma4_check,
     lemma5_count,
+    unit_values,
 )
 from padlab.params import ParameterSet, f_exponents
 from padlab.report import MARGIN_WINDOW
@@ -104,6 +105,28 @@ class TestDerivative:
         values = list(derivative_values(ps, m, ns, modulus))
         assert values == [derivative_mod(ps, m, n, modulus) for n in ns]
         assert values == [poly_eval(terms, n) % modulus for n in ns]
+
+    # (p, a) with a <= 2, where exact powers of n <= p^(a+1) stay cheap
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (7, 0), (7, 1)]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([0, 1]),
+        st.data(),
+    )
+    def test_unit_values_match_exact_derivatives(self, pa, t, multiple, m, data):
+        p, a = pa
+        ps = ParameterSet(p, a, t, multiple * p ** (2 * a + 1))
+        r = data.draw(st.integers(min_value=0, max_value=p - 1), label="class, 0 for all")
+        classes = range(1, p) if r == 0 else (r,)
+        # the orbit checkers' modulus, or lemma5's p^(2a+2t+s+1)
+        s = data.draw(st.integers(min_value=0, max_value=a), label="s")
+        modulus = data.draw(st.sampled_from([p**ps.M, p ** (2 * a + 2 * t + s + 1)]), label="modulus")
+        ns = [n for n in range(1, p ** (a + 1)) if n % p in classes]
+        assert len(ns) == p**a * len(classes)
+        terms = poly_derivative([(1, e) for e in f_exponents(ps)], m)
+        assert list(unit_values(ps, m, classes, modulus)) == [poly_eval(terms, n) % modulus for n in ns]
 
 
 class TestLemma4:

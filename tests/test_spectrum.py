@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padlab.jet import derivative_mod
+import padlab.jet as jet_module
+from padlab.jet import derivative_mod, lemma5_count
 from padlab.padic_core import element_order, roots_of_unity
 import padlab.spectrum as spectrum_module
 from padlab.params import ParameterSet
@@ -80,18 +81,23 @@ class TestBuildS:
         # of p would be evaluated only for its value to be dropped
         ps = ParameterSet(*args)
         seen = []
-        real = spectrum_module.derivative_values
+        real = jet_module.derivative_values
 
         def spy(ps_, m, ns, modulus):
             ns = list(ns)
             seen.extend(ns)
             return real(ps_, m, ns, modulus)
 
-        monkeypatch.setattr(spectrum_module, "derivative_values", spy)
+        monkeypatch.setattr(jet_module, "derivative_values", spy)
         rep = theorem1_check(ps)
         assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
         assert all(n % ps.p for n in seen)
         assert rep.details["dropped_values"] == ps.p**ps.a
+        # lemma5 walks the same units; k * p^t makes v = t, which it requires
+        seen.clear()
+        lemma5_count(ParameterSet(ps.p, ps.a, ps.t, ps.k * ps.p**ps.t), 0)
+        assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
+        assert all(n % ps.p for n in seen)
 
     def test_restricted_example(self):
         assert build_S_x(PS, 2).counts == {23: 1}
