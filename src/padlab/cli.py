@@ -4,21 +4,22 @@ Every checker is registered by name with its module and function; the
 function's signature is the only statement of its parameters, a leading
 `ps` standing for p, a, t, k.  The registry reads the required and the
 defaulted parameter names off the function's code object (__code__ and
-__defaults__), and rejects at registration a checker whose parameters a
-flat {param: int} record cannot bind by name.  The CLI subcommands and
-the sweep-grid keys are derived from it.  run_check dispatches such a
-record and turns math-level ValueErrors and ArithmeticErrors, as well as
-RecursionErrors and MemoryErrors, into errored reports (unknown names or
-parameters raise instead, by the rule _checker states for run_check and
-for each sweep grid), so one bad point cannot abort a sweep.  It is also
-the one place a check is timed: the checkers are pure, and run_check
-stamps the wall-clock elapsed_ms on every report it returns, errored
-ones included.  A sweep config is the dict that sweep_config returns,
-{"checks": [{"name": str, "grid": {param: [ints]}}, ...], "jobs": int},
-and a sweep file echoes it.  run_sweep expands each check's grid as a
-Cartesian product in sorted parameter order and yields each point's
-(status, JSON text) pair in that order as it is ready, so report order
-is deterministic regardless of the parallelism degree.  It counts the
+__defaults__); TestRegistryContract in the tests checks that each takes
+only positional-or-keyword parameters, which a flat {param: int} record
+binds by name.  The CLI subcommands and the sweep-grid keys are derived
+from the registry.  run_check dispatches such a record and turns
+math-level ValueErrors and ArithmeticErrors, as well as RecursionErrors
+and MemoryErrors, into errored reports (unknown names or parameters
+raise instead, by the rule _checker states for run_check and for each
+sweep grid), so one bad point cannot abort a sweep.  It is also the one
+place a check is timed: the checkers are pure, and run_check stamps the
+wall-clock elapsed_ms on every report it returns, errored ones included.
+A sweep config is the dict that sweep_config returns, {"checks":
+[{"name": str, "grid": {param: [ints]}}, ...], "jobs": int}, and a sweep
+file echoes it.  run_sweep expands each check's grid as a Cartesian
+product in sorted parameter order and yields each point's (status, JSON
+text) pair in that order as it is ready, so report order is
+deterministic regardless of the parallelism degree.  It counts the
 points as the product of the grid's list lengths and draws them lazily,
 so the parent never lists the grid.  A pool never has more workers than
 points or than the CPUs this process may run on; it gets chunks of
@@ -74,17 +75,12 @@ from . import __version__, bernoulli, congruence_suite, jet, powersum, spectrum
 from .params import ParameterSet
 from .report import CheckReport, Record
 
-_VARIADIC = 0x04 | 0x08  # CO_VARARGS | CO_VARKEYWORDS in a code object's co_flags
-
 
 def _parameters(fn) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """fn's required and defaulted parameter names, read off its code
-    object.  A TypeError for *args, **kwargs, keyword-only or
-    positional-only parameters, which a call by name from a flat
-    {param: int} record would misread."""
+    object; TestRegistryContract checks that each checker takes only
+    positional-or-keyword parameters, which a record binds by name."""
     code = fn.__code__
-    if code.co_flags & _VARIADIC or code.co_kwonlyargcount or code.co_posonlyargcount:
-        raise TypeError(f"{fn.__qualname__} must take only positional-or-keyword parameters")
     names = code.co_varnames[: code.co_argcount]
     split = len(names) - len(fn.__defaults__ or ())
     return names[:split], names[split:]
@@ -253,13 +249,6 @@ class SweepReport(Record):
 _encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder
 
 
-def _summary(statuses: Iterable[str]) -> dict:
-    counts = dict.fromkeys(("held", "failed", "errored"), 0)
-    for status in statuses:
-        counts[status] += 1
-    return {"total": sum(counts.values()), **counts}
-
-
 def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, str]]) -> dict:
     """Write a sweep file to fh one report at a time, as `reports` yields
     their (status, JSON text) pairs, and return its summary.  This is the
@@ -267,16 +256,14 @@ def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, st
     reports, summary, tool, version), byte for byte what
     json.dumps(obj, sort_keys=True) + "\\n" gives for the whole object; only
     the summary, which counts the reports, follows them."""
-
-    def written():
-        sep = ""
-        for status, text in reports:
-            fh.write(sep + text)
-            sep = ", "
-            yield status
-
     fh.write(f'{{"config": {_encode(config)}, "reports": [')
-    summary = _summary(written())
+    counts = dict.fromkeys(("held", "failed", "errored"), 0)
+    sep = ""
+    for status, text in reports:
+        fh.write(sep + text)
+        sep = ", "
+        counts[status] += 1
+    summary = {"total": sum(counts.values()), **counts}
     fh.write(f'], "summary": {_encode(summary)}, "tool": "padlab", "version": {_encode(__version__)}}}\n')
     return summary
 

@@ -25,7 +25,7 @@ caller maps the validity region.
 """
 
 from .bernoulli import bernoulli
-from .padic_core import is_odd_prime, is_prime_gt3, vp
+from .padic_core import is_odd_prime, is_prime, vp
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
@@ -77,7 +77,7 @@ def power_sum_exact(n_max: int, e: int) -> int:
 
 def lemma1_check(p: int, a: int, r: int) -> CheckReport:
     """Report on  sum_{n=1}^{p^a} n^r  ≡  p^a B_r  (mod p^(2a+vp(r)+1))."""
-    if not is_prime_gt3(p):
+    if p <= 3 or not is_prime(p):
         raise ValueError(f"p must be a prime greater than 3, got {p}")
     if a < 1:
         raise ValueError("a must be a positive integer")

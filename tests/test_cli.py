@@ -151,6 +151,10 @@ class TestRunCheck:
         with pytest.raises(ValueError, match="missing parameters"):
             run_check("kummer", {"p": 5})
 
+    # one row per ValueError a checker can raise, ParameterSet's and
+    # check_strong's included; lemma1 and case1 at p = 3 and 4 pin the
+    # "prime greater than 3" boundary.  Rows are appended, never inserted,
+    # so each row's test id (args0, args1, ...) stays stable
     @pytest.mark.parametrize(
         "name, args, error",
         [
@@ -164,6 +168,59 @@ class TestRunCheck:
             ("lemma2", {"p": 9, "a": 1, "rr": 1, "kk": 9}, "9 is not an odd prime"),
             ("lemma2", {"p": 5, "a": 0, "rr": 1, "kk": 5}, "a must be a positive integer"),
             ("lemma2", {"p": 5, "a": 1, "rr": 0, "kk": 5}, "rr must be a positive integer"),
+            ("theorem1", {"p": 9, "a": 0, "t": 0, "k": 10}, "p = 9 is not an odd prime"),
+            ("theorem1", {"p": 5, "a": -1, "t": 0, "k": 10}, "a and t must be nonnegative"),
+            ("theorem1", {"p": 5, "a": 0, "t": 0, "k": 0}, "k must be a positive integer"),
+            ("theorem1", {"p": 5, "a": 0, "t": 0, "k": 6}, "k = 6 is not divisible by p^(2a+1) = 5"),
+            ("theorem2", {"p": 5, "a": 0, "t": 0, "k": 5, "r": 2}, "k = 5 is not divisible by 2p^(2a+1) = 10"),
+            ("theorem2", {"p": 5, "a": 0, "t": 0, "k": 20, "r": 2}, "k = 20 must not be divisible by p-1 = 4"),
+            ("theorem2", {"p": 5, "a": 0, "t": 0, "k": 10, "r": -3}, "k + p^a(p-1)r = -2 must be positive"),
+            ("corollary2", {"p": 5, "a": 1, "t": 0, "b": 6}, "b = 6 is not divisible by p^(a+t) = 5"),
+            ("corollary2", {"p": 5, "a": 0, "t": 0, "b": 8}, "(p-1) = 4 must not divide b = 8"),
+            ("corollary2", {"p": 5, "a": 0, "t": 0, "b": 6, "v": 1}, "v must satisfy 0 <= v <= t = 0, got 1"),
+            ("case1", {"p": 3, "a": 1, "r": 2}, "p must be a prime greater than 3, got 3"),
+            ("case1", {"p": 4, "a": 1, "r": 2}, "p must be a prime greater than 3, got 4"),
+            ("case1", {"p": 5, "a": 1, "r": 4}, "(p-1) = 4 must not divide r = 4"),
+            ("case1", {"p": 5, "a": 1, "r": 10}, "vp(r) = 1 must be smaller than a = 1"),
+            ("case2", {"p": 5, "a": 0, "t": 0, "k": 10, "b": -3}, "Bernoulli index -2 must be even and positive"),
+            ("case3", {"p": 5, "a": 0, "t": 0, "k": 10}, "t must be >= 1 for the branching step"),
+            ("kummer", {"p": 5, "a": 0, "r": 2, "s": 0}, "index 0 must be even and positive"),
+            ("kummer", {"p": 5, "a": 0, "r": 4, "s": 8}, "(p-1) = 4 must not divide r = 4"),
+            ("kummer", {"p": 5, "a": 0, "r": 2, "s": 4}, "r = 2 and s = 4 must be congruent mod p^a(p-1) = 4"),
+            ("lemma1", {"p": 3, "a": 1, "r": 4}, "p must be a prime greater than 3, got 3"),
+            ("lemma1", {"p": 4, "a": 1, "r": 4}, "p must be a prime greater than 3, got 4"),
+            ("lemma1", {"p": 5, "a": 0, "r": 4}, "a must be a positive integer"),
+            ("lemma1", {"p": 5, "a": 1, "r": 3}, "r must be even and positive, got 3"),
+            ("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 1}, "k = 1 must be at least rr + a = 2"),
+            ("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 4}, "(p-1) = 4 must not divide k = 4"),
+            ("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 6}, "p^rr = 5 must divide k = 6"),
+            ("lemma4", {"p": 5, "a": 0, "t": 0, "k": 10, "m": 0, "n": 1}, "derivative order must be >= 1"),
+            ("lemma4", {"p": 5, "a": 0, "t": 0, "k": 10, "m": 1, "n": 5}, "n = 5 must be invertible mod p = 5"),
+            ("lemma5", {"p": 5, "a": 0, "t": 1, "k": 10, "s": 0}, "lemma5 requires v = t, got v = 0, t = 1"),
+            ("lemma5", {"p": 5, "a": 0, "t": 0, "k": 10, "s": 1}, "s must satisfy 0 <= s <= a = 0, got 1"),
+            ("corollary3", {"p": 5, "a": 0, "t": 0, "k": 10, "s0": 5, "kk": 1, "x": 1}, "s = 5 must be invertible mod p = 5"),
+            ("corollary3", {"p": 5, "a": 0, "t": 0, "k": 10, "s0": 1, "kk": 0, "x": 1}, "kk must be >= 1"),
+            (
+                "transport",
+                {"p": 5, "a": 0, "t": 0, "k": 10, "g": 2, "xprime": 2, "n": 1},
+                "g = 2 is not a 2-th root of unity mod 5^2",
+            ),
+            (
+                "transport",
+                {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 1, "n": 1},
+                "x'^k' = 1^2 is not ≡ g = 24 mod p^(a+1) = 5",
+            ),
+            (
+                "transport",
+                {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 2, "n": 5},
+                "n = 5 must be invertible mod p = 5",
+            ),
+            ("corollary1", {"p": 5, "a": 0, "t": 0, "k": 10, "x": 2, "mu": 2}, "mu = 2 is not a 2-th root of unity mod 5"),
+            ("balance", {"p": 5, "a": 1, "t": 1, "k": 125, "j": 0}, "j must satisfy 1 <= j < M = 6, got 0"),
+            ("adams", {"r": 3, "p": 5}, "index must be even and positive, got 3"),
+            ("adams", {"r": 6, "p": 9}, "9 is not an odd prime"),
+            ("adams", {"r": 4, "p": 5}, "Adams hypothesis violated: 4 divides 4"),
+            ("von_staudt_clausen", {"n": 3}, "index must be even and positive, got 3"),
         ],
     )
     def test_hypothesis_error_text(self, name, args, error):
@@ -238,15 +295,6 @@ class TestRegistryContract:
         assert (spec.params, spec.optional) == (("p", "a", "t", "k", "j"), ("v", "w"))
         spec = CheckerSpec(SimpleNamespace(check=lambda n, ps=None: None), "check")
         assert (spec.params, spec.optional) == (("n",), ("ps",))
-
-    @pytest.mark.parametrize(
-        "fn",
-        [lambda p, *rest: None, lambda p, *, q: None, lambda p, *, q=1: None, lambda p, **kw: None, lambda p, /, q: None],
-        ids=["varargs", "keyword-only", "keyword-only-defaulted", "varkw", "positional-only"],
-    )
-    def test_unbindable_parameters_raise_at_registration(self, fn):
-        with pytest.raises(TypeError, match="positional-or-keyword"):
-            CheckerSpec(SimpleNamespace(check=fn), "check")
 
 
 class TestReportValues:

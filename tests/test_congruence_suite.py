@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from padlab.congruence_suite import (
     case1_step_check,
@@ -9,10 +11,41 @@ from padlab.congruence_suite import (
     theorem2_check,
 )
 from padlab.padic_core import vp
-from padlab.params import ParameterSet
+from padlab.params import ParameterSet, f_exponents
 from padlab.powersum import power_sum_mod
+from padlab.report import MARGIN_WINDOW
 
 SPS = ParameterSet(5, 0, 0, 10)
+
+
+@st.composite
+def strong_params(draw):
+    """ParameterSets with p in {5, 7, 11}, a, t <= 1 and a k that passes
+    check_strong."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    a, t = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    ps = ParameterSet(p, a, t, 2 * p ** (2 * a + 1) * draw(st.integers(1, 6)))
+    try:
+        ps.check_strong()
+    except ValueError:
+        reject()
+    return ps
+
+
+# theorem2 at r = 1 compares one power sum with itself, and case2 at b = 1
+# one Bernoulli product with itself, each side with its own statement of
+# e+ = (k + p^a(p-1))p^t: a copy that drifted from f_exponents breaks the
+# saturated margin
+@settings(max_examples=40, deadline=None)
+@given(strong_params())
+def test_same_exponent_identities_saturate(ps):
+    rep = theorem2_check(ps, 1)
+    assert (rep.holds, rep.margin) == (True, MARGIN_WINDOW)
+    e_plus = f_exponents(ps)[0]
+    if e_plus <= 1400:  # larger Bernoulli indices take seconds to tabulate
+        rep = case2_check(ps, 1)
+        assert (rep.holds, rep.margin) == (True, MARGIN_WINDOW)
+        assert rep.details["index_lhs"] == rep.details["index_rhs"] == e_plus
 
 
 class TestTheorem2:
