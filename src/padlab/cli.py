@@ -256,7 +256,9 @@ def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, st
     reports, summary, tool, version), byte for byte what
     json.dumps(obj, sort_keys=True) + "\\n" gives for the whole object; only
     the summary, which counts the reports, follows them."""
-    fh.write(f'{{"config": {_encode(config)}, "reports": [')
+    fh.write('{"config": ')
+    fh.writelines(json.JSONEncoder(sort_keys=True).iterencode(config))  # in pieces, not one string
+    fh.write(', "reports": [')
     counts = dict.fromkeys(("held", "failed", "errored"), 0)
     sep = ""
     for status, text in reports:

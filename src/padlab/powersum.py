@@ -5,11 +5,15 @@ mod p^M.  Writing n = r + p*q with 0 <= r < p,
 
     (r + p q)^e ≡ sum_{i<M} C(e, i) r^(e-i) p^i q^i      (mod p^M),
 
-so the full p-blocks reduce to the sums sum_{q<N/p} q^i mod p^(M-i),
-which recurse on a bound p times smaller, plus a tail of at most p terms.
-That costs about p * M^3 * log_p(N) modular operations instead of N
-modular powers; bounds up to p*M are summed directly.  The two checkers
-here compare such sums against Bernoulli data:
+so the B = N // p full p-blocks reduce to the residue sums
+R_i = sum_{r<p} r^(e-i) mod p^M and the block-index sums S_i = sum_{q<B} q^i,
+plus a tail of at most p terms.  The S_i are exact ints, from the
+telescoping identity B^(i+1) = sum_{j<=i} C(i+1, j) S_j and an exact
+division by i+1: p may divide i+1, so no modular inverse can replace it.
+That costs about p*M modular operations plus M^2/2 exact ones on ints of
+about M*log2(N) bits, instead of N modular powers; bounds up to p*M are
+summed directly.  The two checkers here compare such sums against
+Bernoulli data:
 
     lemma1:  sum_{n=1}^{p^a} n^r  vs  p^a * B_r     mod p^(2a+vp(r)+1)
     lemma2:  sum_{n=1}^{p^a} n^k  vs  0             mod p^(r+a)
@@ -24,6 +28,8 @@ documented failures (r = 2, and more generally small-a points where
 caller maps the validity region.
 """
 
+from math import comb
+
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime, vp
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
@@ -35,39 +41,31 @@ def power_sum_mod(n_max: int, e: int, p: int, M: int) -> int:
         raise ValueError("power_sum_mod expects nonnegative bound and exponent")
     if M < 1:
         raise ValueError(f"power_sum_mod expects a modulus exponent M >= 1, got {M}")
-    if e == 0:
-        return n_max % p**M
-    return _power_sum(n_max, e, p, M, {})
-
-
-def _power_sum(n_max: int, e: int, p: int, M: int, memo: dict) -> int:
-    """power_sum_mod for e >= 1, memoized on (n_max, e, M) within one call."""
     mod = p**M
+    if e == 0:
+        return n_max % mod
     if n_max <= p * M:
         return sum(pow(n, e, mod) for n in range(1, n_max + 1)) % mod
-    key = (n_max, e, M)
-    if key in memo:
-        return memo[key]
     blocks = n_max // p  # n = r + p*q over q < blocks, then the tail q = blocks
     top = min(e, M - 1)
     # residue_sums[i] = sum_{r<p} r^(e-i) mod p^M; r = 0 counts only as 0^0
-    residue_sums = [0] * (top + 1)
-    if top == e:
-        residue_sums[top] = 1
+    residue_sums = [0] * top + [int(top == e)]
     for r in range(1, p):
         x = pow(r, e - top, mod)
         for i in range(top, -1, -1):
             residue_sums[i] += x
             x = x * r % mod
-    total = blocks * residue_sums[0]  # i = 0: sum_{q<blocks} q^0 = blocks
+    # index_sums[i] = sum_{q<blocks} q^i, exactly: telescoped, then divided by i + 1
+    index_sums = []
+    for i in range(top + 1):
+        rest = sum(comb(i + 1, j) * s for j, s in enumerate(index_sums))
+        index_sums.append((blocks ** (i + 1) - rest) // (i + 1))
+    total = sum(pow(n, e, mod) for n in range(p * blocks, n_max + 1))
     binom = 1
-    for i in range(1, top + 1):
-        binom = binom * (e - i + 1) // i
-        q_sum = _power_sum(blocks - 1, i, p, M - i, memo)
-        total += binom * p**i * residue_sums[i] % mod * q_sum
-    total += sum(pow(n, e, mod) for n in range(p * blocks, n_max + 1))
-    memo[key] = total = total % mod
-    return total
+    for i in range(top + 1):
+        total += binom * p**i * residue_sums[i] % mod * index_sums[i]
+        binom = binom * (e - i) // (i + 1)
+    return total % mod
 
 
 def power_sum_exact(n_max: int, e: int) -> int:

@@ -634,6 +634,23 @@ class TestSweep:
         # details render their ints as decimal strings
         assert [r["details"]["sum_valuation"] for r in reports[-3:]] == ["12", "14", "14"]
 
+    def test_wall_sweep_config(self):
+        # power sums over 7^21, 5^21 and 7^11 terms, far past the direct
+        # loop; the pins were computed by the q-sum recursion that the block
+        # index sums replaced, so they come from an independent route
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "wall_sweep.json").read_text())
+        sweep = _sweep_file(sweep_config(raw))
+        assert sweep["summary"] == {"total": 4, "held": 4, "failed": 0, "errored": 0}
+        reports = sweep["reports"]
+        assert [r["margin"] for r in reports] == [0, 0, 1, 12]
+        assert [r["lhs"] for r in reports] == [
+            "4572167713819927938967259746557911966620625635868148",
+            "20320903462421616961819961938400696620228666081095901",
+            "100022238209216993709560483694076538085937500",
+            "0",
+        ]
+        assert reports[-1]["details"]["sum_valuation"] == "46"
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):
             sweep_config({"checks": [{"name": "nope", "grid": {"p": [5]}}]})

@@ -47,8 +47,45 @@ class TestPowerSumMod:
     @given(kernel_cases())
     def test_split_matches_direct_loop(self, case):
         # bounds up to p*M are the kernel's own direct loop; past it the
-        # p-block split recurses, so both sides of p*M are drawn
+        # p-block split sums the block indices exactly, so both sides of
+        # p*M are drawn
         assert power_sum_mod(*case) == direct_power_sum(*case)
+
+    @settings(deadline=None)  # Faulhaber's sides reach about 40 * 50 bits
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+            lambda p: st.tuples(
+                st.one_of(
+                    st.integers(min_value=0, max_value=10**15),
+                    st.integers(min_value=0, max_value=20).map(lambda m: p**m),
+                ),
+                st.integers(min_value=0, max_value=40),
+                st.just(p),
+                st.integers(min_value=1, max_value=30),
+            )
+        )
+    )
+    def test_split_matches_faulhaber_far_past_the_direct_loop(self, case):
+        n_max, e, p, M = case
+        assert power_sum_mod(n_max, e, p, M) == faulhaber(n_max, e) % p**M
+
+    @pytest.mark.parametrize(
+        "n_max,e,p,M",
+        [
+            (10**12 + 7, 3, 5, 9),  # top == e: e < M, so r = 0 adds 0^0 to the last residue sum
+            (7**15, 6, 7, 7),  # top == e == M - 1
+            (10**13 + 1, 25, 3, 12),  # p | i + 1 at i = 2, 5, 8, 11: the index sums divide by 3, 6, 9, 12
+            (5**18 - 3, 29, 5, 30),  # p | i + 1 at i = 4, 9, ..., 29, and 25 | i + 1 at i = 24
+            (10**14 + 3, 17, 7, 1),  # M = 1: only the index sum of i = 0, which is the block count
+            (11**9, 40, 11, 1),
+            (3 * 8, 31, 3, 8),  # n_max = p*M: the last bound the direct loop takes
+            (3 * 8 + 1, 31, 3, 8),  # n_max = p*M + 1: the first bound split into blocks
+            (13 * 30, 40, 13, 30),
+            (13 * 30 + 1, 40, 13, 30),
+        ],
+    )
+    def test_split_edge_rows_match_faulhaber(self, n_max, e, p, M):
+        assert power_sum_mod(n_max, e, p, M) == faulhaber(n_max, e) % p**M
 
     @pytest.mark.parametrize("n_max,e", [(-1, 2), (5, -1)])
     def test_negative_arguments_rejected(self, n_max, e):
