@@ -51,7 +51,7 @@ class TestPowerSumMod:
         # p*M are drawn
         assert power_sum_mod(*case) == direct_power_sum(*case)
 
-    @settings(deadline=None)  # Faulhaber's sides reach about 40 * 50 bits
+    @settings(deadline=None)  # Faulhaber's exact sides run to a few thousand bits
     @given(
         st.sampled_from([3, 5, 7, 11, 13]).flatmap(
             lambda p: st.tuples(
