@@ -255,10 +255,9 @@ def write_sweep(fh: io.TextIOBase, config: dict, reports: Iterable[tuple[str, st
     file's one layout: a line of compact JSON with sorted keys (config,
     reports, summary, tool, version), byte for byte what
     json.dumps(obj, sort_keys=True) + "\\n" gives for the whole object; only
-    the summary, which counts the reports, follows them."""
-    fh.write('{"config": ')
-    fh.writelines(json.JSONEncoder(sort_keys=True).iterencode(config))  # in pieces, not one string
-    fh.write(', "reports": [')
+    the summary, which counts the reports, follows them.  The C encoder
+    writes the head whole: the parsed config, not it, sets the parent's peak."""
+    fh.write(f'{{"config": {_encode(config)}, "reports": [')
     counts = dict.fromkeys(("held", "failed", "errored"), 0)
     sep = ""
     for status, text in reports:

@@ -14,17 +14,8 @@ from math import isqrt
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for q in range(3, isqrt(n) + 1, 2):
-        if n % q == 0:
-            return False
-    return True
+    """Deterministic primality: n is its own factorization."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def is_odd_prime(p: int) -> bool:
@@ -75,11 +66,12 @@ def reduce_rational(q: Fraction | int, p: int, M: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, as {prime: exponent}."""
+    """Prime factorization by the one trial division, which is_prime reads, as
+    {prime: exponent}.  A composite q never divides: its primes are out."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for q in [2] + list(range(3, isqrt(n) + 1, 2)):
+    for q in range(2, isqrt(n) + 1):
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q

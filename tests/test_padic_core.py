@@ -197,3 +197,26 @@ class TestFactorize:
             assert factorize(q) == {q: 1}
             acc *= q**e
         assert acc == unit_group_order(*m)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestPrimalityAgainstSympy:
+    # is_prime reads factorize, so an independent route checks both:
+    # sympy's isprime and factorint
+    def agrees(self, sympy, n):
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_odd_prime(n) == (n != 2 and sympy.isprime(n))
+        if n >= 1:
+            assert factorize(n) == sympy.factorint(n)
+
+    def test_every_n_up_to_20000(self, sympy):
+        for n in range(-10, 20001):
+            self.agrees(sympy, n)
+
+    @given(st.integers(min_value=-10, max_value=10**7))
+    def test_draws_up_to_10_to_the_7(self, sympy, n):
+        self.agrees(sympy, n)
