@@ -26,8 +26,8 @@ points or than the CPUs this process may run on; it gets chunks of
 max(1, min(points // (8 * workers), 512)) points, so IPC is paid per
 chunk, not per point, and at most 2 * workers chunks are submitted and
 not yet yielded at a time, so the parent's memory does not grow with the
-number of points.  Each point's report is encoded where it ran
-(_run_point), and the parent only counts statuses and writes text.
+number of points.  _run_point encodes each report where it ran, and
+the parent only counts statuses and writes text.
 Serial or pooled, each process grows its own Bernoulli table lazily,
 only as far as the points it runs read.  write_sweep is the sweep file's
 one layout: main streams the pairs into --out one at a time, so it never
@@ -279,12 +279,12 @@ def grid_points(config: dict) -> Iterator[tuple[str, dict]]:
 
 
 def _run_point(point: tuple[str, dict]) -> tuple[str, str]:
-    """The point's status and its report's JSON text, encoded in the process
-    that ran it under the lifted digit limit, which spawn and forkserver
-    workers do not inherit from main."""
+    """The point's status and its report's CheckReport.to_json text, encoded
+    in the process that ran it under the lifted digit limit, which spawn
+    and forkserver workers do not inherit from main."""
     with _NoDigitLimit():
         report = run_check(*point)
-        return report.status, _encode(report.to_json_dict())
+        return report.status, report.to_json()
 
 
 def _run_chunk(points: list[tuple[str, dict]]) -> list[tuple[str, str]]:

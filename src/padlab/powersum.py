@@ -11,9 +11,12 @@ plus a tail of at most p terms.  The S_i are exact ints, from the
 telescoping identity B^(i+1) = sum_{j<=i} C(i+1, j) S_j and an exact
 division by i+1: p may divide i+1, so no modular inverse can replace it.
 That costs about p*M modular operations plus M^2/2 exact ones on ints of
-about M*log2(N) bits, instead of N modular powers; bounds up to p*M are
-summed directly.  The two checkers here compare such sums against
-Bernoulli data:
+about M*log2(N) bits, instead of N modular powers.  Bounds up to p*M are
+summed directly, with a modular power only at primes up to TABLE_BOUND
+(n -> n^e is completely multiplicative; a composite is one product, which
+beats a power from exponents of about 64 up) and at every n above it, so
+a large p keeps no table of p residues.  The two checkers here compare
+such sums against Bernoulli data:
 
     lemma1:  sum_{n=1}^{p^a} n^r  vs  p^a * B_r     mod p^(2a+vp(r)+1)
     lemma2:  sum_{n=1}^{p^a} n^k  vs  0             mod p^(r+a)
@@ -34,6 +37,8 @@ from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime, vp
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
+TABLE_BOUND = 1024  # the last n whose residue a direct sum keeps, however far its bound
+
 
 def power_sum_mod(n_max: int, e: int, p: int, M: int) -> int:
     """sum_{n=1}^{n_max} n^e mod p^M, in [0, p^M)."""
@@ -45,7 +50,20 @@ def power_sum_mod(n_max: int, e: int, p: int, M: int) -> int:
     if e == 0:
         return n_max % mod
     if n_max <= p * M:
-        return sum(pow(n, e, mod) for n in range(1, n_max + 1)) % mod
+        # up to TABLE_BOUND, a composite n is the product of the values at its
+        # least prime factor q and at n // q, and only a prime takes a power
+        values, primes = [0, 1][: n_max + 1], []
+        for n in range(2, min(n_max, TABLE_BOUND) + 1):
+            for q in primes:
+                if q * q > n:
+                    break
+                if n % q == 0:
+                    values.append(values[q] * values[n // q] % mod)
+                    break
+            if len(values) == n:  # no prime up to sqrt(n) divides n
+                primes.append(n)
+                values.append(pow(n, e, mod))
+        return (sum(values) + sum(pow(n, e, mod) for n in range(TABLE_BOUND + 1, n_max + 1))) % mod
     blocks = n_max // p  # n = r + p*q over q < blocks, then the tail q = blocks
     top = min(e, M - 1)
     # residue_sums[i] = sum_{r<p} r^(e-i) mod p^M; r = 0 counts only as 0^0

@@ -12,6 +12,9 @@ exact valuation of its sum from residues mod p^K, doubling K from
 E + MARGIN_WINDOW while the residue is 0.  A margin is None for
 checks with no scalar difference (multiset equality, counts).
 
+CheckReport.to_json is the one report encoder, and to_json_dict reads its
+text back.
+
 CheckReport and padlab's other value types are plain classes on Record,
 which compares and prints them by their attributes as a dataclass does:
 the same arguments give an equal report.  They keep their attributes in
@@ -19,7 +22,9 @@ a __dict__, which a pool pickles directly, and importing padlab loads
 neither dataclasses nor inspect.
 """
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .padic_core import reduce_rational, vp_rational
 
@@ -70,34 +75,34 @@ class CheckReport(Record):
         """"errored" if the check raised, else "held" or "failed" by its verdict."""
         return "errored" if self.error is not None else "held" if self.holds else "failed"
 
+    def to_json(self) -> str:
+        """Compact JSON with sorted keys, in one pass; every int of inputs and
+        details is a decimal string, so no consumer loses precision."""
+        margin = "null" if self.margin is None else self.margin
+        modulus = "null" if self.modulus is None else f'{{"exp": {self.modulus[1]}, "p": "{self.modulus[0]}"}}'
+        return (
+            f'{{"details": {_text(self.details)}, "elapsed_ms": {self.elapsed_ms}, "error": {_text(self.error)}, '
+            f'"holds": {_text(self.holds)}, "inputs": {_text(self.inputs)}, "lhs": {_quote(self.lhs)}, '
+            f'"margin": {margin}, "modulus": {modulus}, "name": {_quote(self.name)}, "rhs": {_quote(self.rhs)}}}'
+        )
+
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": {k: _jsonify(v) for k, v in self.inputs.items()},
-            "modulus": None
-            if self.modulus is None
-            else {"p": str(self.modulus[0]), "exp": self.modulus[1]},
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "margin": self.margin,
-            "elapsed_ms": self.elapsed_ms,
-            "error": self.error,
-            "details": _jsonify(self.details),
-        }
+        return json.loads(self.to_json())
 
 
-def _jsonify(v):
-    """Big integers render as decimal strings so no consumer loses precision."""
-    if isinstance(v, bool):
-        return v
+def _text(v) -> str:
+    """v's JSON text, dict keys sorted and each int but a bool a decimal string."""
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return f'"{v}"'
+    if isinstance(v, str):
+        return _quote(v)
     if isinstance(v, dict):
-        return {k: _jsonify(x) for k, x in v.items()}
+        return "{" + ", ".join([f"{_quote(k)}: {_text(v[k])}" for k in sorted(v)]) + "}"
     if isinstance(v, (list, tuple)):
-        return [_jsonify(x) for x in v]
-    return v
+        return "[" + ", ".join(map(_text, v)) + "]"
+    return json.dumps(v)
 
 
 def rational_margin(diff: Fraction, p: int, required: int) -> int:

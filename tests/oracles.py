@@ -4,6 +4,7 @@ from collections import Counter
 
 from padlab.padic_core import element_order, vp
 from padlab.params import ParameterSet, f_exponents
+from padlab.report import CheckReport
 from padlab.spectrum import ResidueMultiset, SubgroupDescriptor, act
 
 
@@ -57,3 +58,35 @@ def lemma5_count_exact(ps: ParameterSet, s: int) -> int:
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
     return sum(vp(e_plus * u ** (e_plus - 1) + e_minus * u ** (e_minus - 1), ps.p) >= threshold for u in units)
+
+
+def jsonify(v):
+    """v with every int that is not a bool as a decimal string and tuples as
+    lists; json.dumps(..., sort_keys=True) of jsonify_report's dict is the
+    reference for CheckReport.to_json's one-pass text."""
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: jsonify(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonify(x) for x in v]
+    return v
+
+
+def jsonify_report(report: CheckReport) -> dict:
+    """The report's JSON object built field by field, with margin,
+    elapsed_ms and modulus.exp left as numbers."""
+    return {
+        "name": report.name,
+        "inputs": {k: jsonify(v) for k, v in report.inputs.items()},
+        "modulus": None if report.modulus is None else {"p": str(report.modulus[0]), "exp": report.modulus[1]},
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "holds": report.holds,
+        "margin": report.margin,
+        "elapsed_ms": report.elapsed_ms,
+        "error": report.error,
+        "details": jsonify(report.details),
+    }

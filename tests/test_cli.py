@@ -17,17 +17,21 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padlab
 import padlab.bernoulli as bernoulli_module
 from padlab.bernoulli import BernoulliTable
 from padlab.congruence_suite import case1_step_check
 from padlab.params import ParameterSet
+from padlab.report import CheckReport
 from padlab.cli import (
     _PS_FIELDS,
     REGISTRY,
     CheckerSpec,
     SweepReport,
+    _NoDigitLimit,
     _cpus,
     _exit_code,
     build_parser,
@@ -38,6 +42,7 @@ from padlab.cli import (
     run_sweep,
     sweep_config,
 )
+from oracles import jsonify_report
 from test_reference_digests import _load_workloads
 
 
@@ -314,6 +319,38 @@ class TestReportValues:
             assert back is not rep and back == rep and back.to_json_dict() == rep.to_json_dict()
 
 
+# report fields as checkers fill them, and past it: quotes, backslashes,
+# control and non-ASCII characters; ints of both signs, some past Python's
+# 4300-digit str limit; nested dicts, lists and tuples
+TEXT = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7f≡é\u2028') | st.characters(), max_size=8)
+INTS = st.integers() | st.builds(
+    lambda sign, digits, low: sign * (10**digits + low),
+    st.sampled_from([-1, 1]),
+    st.integers(4301, 4400),
+    st.integers(0, 10**9),
+)
+VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+REPORTS = st.builds(
+    CheckReport,
+    name=TEXT,
+    inputs=st.dictionaries(TEXT, VALUES, max_size=5),
+    holds=st.booleans(),
+    lhs=TEXT,
+    rhs=TEXT,
+    modulus=st.none() | st.tuples(INTS, st.integers(0, 10**4)),
+    margin=st.none() | st.integers(-(10**4), 10**4),
+    elapsed_ms=st.integers(0, 10**7),
+    error=st.none() | TEXT,
+    details=st.dictionaries(TEXT, VALUES, max_size=5),
+)
+
+
 class TestReportJson:
     def test_big_integers_render_as_strings(self):
         rep = run_check("kummer", {"p": 5, "a": 0, "r": 2, "s": 6})
@@ -327,6 +364,21 @@ class TestReportJson:
     def test_errored_report_shape(self):
         d = run_check("lemma2", {"p": 5, "a": 1, "rr": 1, "kk": 4}).to_json_dict()
         assert d["error"] and d["holds"] is False and d["modulus"] is None
+
+    @settings(deadline=None)  # a 4300-digit int's decimal string takes a while
+    @given(st.data())
+    def test_one_pass_text_is_the_c_encoders(self, data):
+        # drawn under the lifted digit limit, as _run_point encodes
+        with _NoDigitLimit():
+            report = data.draw(REPORTS)
+            text = report.to_json()
+            assert text == json.dumps(jsonify_report(report), sort_keys=True)
+            assert report.to_json_dict() == json.loads(text)
+
+    def test_transport_error_text_escapes_non_ascii(self):
+        rep = run_check("transport", {"p": 5, "a": 0, "t": 0, "k": 10, "g": 24, "xprime": 1, "n": 1})
+        assert "≡" in rep.error and r"\u2261" in rep.to_json()
+        assert rep.to_json() == json.dumps(jsonify_report(rep), sort_keys=True)
 
 
 KUMMER_GRID = {

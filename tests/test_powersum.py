@@ -87,6 +87,20 @@ class TestPowerSumMod:
     def test_split_edge_rows_match_faulhaber(self, n_max, e, p, M):
         assert power_sum_mod(n_max, e, p, M) == faulhaber(n_max, e) % p**M
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 4, 9, 25, 49, 121, 169, 1021, 1024, 1025, 1031])
+    def test_direct_edge_rows_match_the_term_loop(self, n_max, p):
+        # the base case takes a power only at primes up to TABLE_BOUND = 1024,
+        # found by trial division that stops at q * q > n: prime squares and
+        # the primes next to them sit on that test, and 1021 < 1024 < 1025 <
+        # 1031 on the table's end.  M = 1 makes the modulus p, where each
+        # multiple of p adds 0; the least M with n_max <= p*M is the last
+        # bound summed directly, n_max = p*M exactly at n_max = p^2
+        least = max(1, -(-n_max // p))
+        for M in (1, least, least + 2):
+            for e in (1, 2, M, 41):
+                assert power_sum_mod(n_max, e, p, M) == direct_power_sum(n_max, e, p, M), (M, e)
+
     @pytest.mark.parametrize("n_max,e", [(-1, 2), (5, -1)])
     def test_negative_arguments_rejected(self, n_max, e):
         with pytest.raises(ValueError, match="power_sum_mod expects nonnegative bound and exponent"):
