@@ -14,10 +14,25 @@ reports as ">= cap" (valuations of polynomial values at residue classes
 are minima over the class, so saturation is the honest answer).  On top
 of that sit the valuation claim matrix for f^(m), the first-order Taylor
 truncation check, and the count of near-critical points of f'.
+
+unit_values walks by class differences.  On a class n = r + p*q, with
+x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N is the polynomial
+in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i r^δ + B-_i), δ = x+ - x-.
+While m <= e-, δ = e+ - e- = 2p^(a+t)(p-1), so r^δ ≡ 1 mod p^(a+t+1)
+(Euler) and c_i vanishes mod p^N for every unit r once p^(N-i) divides
+B+_i + B-_i and p^(N-i-a-t-1) divides B+_i; past e-, B-_i = 0 and the
+first test alone decides.  degree_bound's D is the largest i < N that
+fails, from exact ints alone.  Each class takes its first min(p^a, D+1)
+values from derivative_values and steps a (D+1)-row forward-difference
+table for the rest, all classes in lockstep so values arrive in
+increasing n; when p^a <= D+1 (every a = 0 walk) it is evaluated
+directly throughout.  A walk over all p - 1 classes costs (p-1)(D+1)
+evaluations of f^(m) and (p^(a+1) - p^a) D additions.
 """
 
 from collections.abc import Iterable, Iterator
-from math import perm
+from itertools import accumulate, chain, islice, repeat
+from math import comb, perm
 
 from .padic_core import vp
 from .params import ParameterSet, f_exponents
@@ -37,11 +52,49 @@ def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int)
     return ((c_plus * pow(n, x_plus, modulus) + c_minus * pow(n, x_minus, modulus)) % modulus for n in ns)
 
 
+def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
+    """A bound D, for every unit class r, on the degree in q of
+    f^(m)(r + p*q) mod modulus = p^N (see the module docstring)."""
+    p = ps.p
+    n_exp = vp(modulus, p)
+    if p**n_exp != modulus:
+        raise ValueError(f"modulus {modulus} is not a power of p = {p}")
+    (b_plus, x_plus), (b_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
+    for i in range(n_exp - 1, 0, -1):
+        bp = b_plus * comb(x_plus, i)
+        if (bp + b_minus * comb(x_minus, i)) % p ** (n_exp - i) or bp % p ** max(n_exp - i - ps.a - ps.t - 1, 0):
+            return i
+    return 0
+
+
 def unit_values(ps: ParameterSet, m: int, classes: range | tuple[int, ...], modulus: int) -> Iterator[int]:
     """f^(m)(n) mod modulus over the units n = r + p*q <= p^(a+1) whose
-    class r mod p is in classes (increasing, 1 <= r < p); in increasing n."""
-    ns = (r + ps.p * q for q in range(ps.p**ps.a) for r in classes)
-    return derivative_values(ps, m, ns, modulus)
+    class r mod p is in classes (increasing, 1 <= r < p); in increasing n.
+
+    modulus must be a power of p.  The first min(p^a, D+1) rows come from
+    derivative_values, the rest from each class's differences."""
+    rows, width = ps.p**ps.a, len(classes)
+    values = derivative_values(ps, m, (r + ps.p * q for q in range(rows) for r in classes), modulus)
+    head = min(rows, degree_bound(ps, m, modulus) + 1)
+    first = list(islice(values, head * width))
+    if head == rows:
+        return iter(first)
+    tails = (_stepped(first[c::width], rows, modulus) for c in range(width))
+    return chain(first, chain.from_iterable(zip(*tails)))
+
+
+def _stepped(head: list[int], rows: int, modulus: int) -> Iterator[int]:
+    """g(q) mod modulus for len(head) <= q < rows, where head = g(0), ..., g(D)
+    of an integer polynomial g of degree <= D: the (D+1)-row difference table
+    at q = 0, each row the running sum of the row below it, in C."""
+    start, diffs = len(head), [head[0]]
+    while len(head) > 1:
+        head = [y - x for x, y in zip(head, head[1:])]
+        diffs.append(head[0])
+    seq = repeat(diffs.pop())
+    for d in reversed(diffs):
+        seq = accumulate(seq, initial=d)
+    return map(modulus.__rmod__, islice(seq, start, rows))
 
 
 def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:

@@ -703,6 +703,17 @@ class TestSweep:
         ]
         assert reports[-1]["details"]["sum_valuation"] == "46"
 
+    def test_orbit_sweep_config(self):
+        # theorem3 over 101^3 - 101^2 = 1030200 units and lemma5 over
+        # 31^3 - 31^2 units; the pins were computed by the per-n loop that
+        # the class-difference walk replaced, so they come from another route
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "orbit_sweep.json").read_text())
+        sweep = _sweep_file(sweep_config(raw))
+        assert sweep["summary"] == {"total": 4, "held": 4, "failed": 0, "errored": 0}
+        theorem3, *lemma5 = sweep["reports"]
+        assert (theorem3["lhs"], theorem3["rhs"]) == ("50", "50")
+        assert [r["details"]["count"] for r in lemma5] == ["28830", "930", "30"]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):
             sweep_config({"checks": [{"name": "nope", "grid": {"p": [5]}}]})

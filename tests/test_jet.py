@@ -1,13 +1,15 @@
 import random
+from math import comb, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padlab.jet as jet
 from padlab.cli import run_check
 from padlab.jet import (
     corollary3_check,
+    degree_bound,
     derivative_mod,
     derivative_valuation,
     derivative_values,
@@ -127,6 +129,48 @@ class TestDerivative:
         assert len(ns) == p**a * len(classes)
         terms = poly_derivative([(1, e) for e in f_exponents(ps)], m)
         assert list(unit_values(ps, m, classes, modulus)) == [poly_eval(terms, n) % modulus for n in ns]
+
+
+class TestClassWalk:
+    # p <= 13, a <= 2, t <= 2 and 2a+1 <= vp(k) <= 2a+3, at the orbit
+    # checkers' modulus p^M or lemma5's p^(2a+2t+s+1); r = 0 walks all classes
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1, 2, 4]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=2),
+        st.booleans(),
+    )
+    @example(p=3, a=0, t=1, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
+    @example(p=3, a=2, t=2, extra=1, cofactor=2, m=1, r=2, s=2, at_pm=False)
+    @example(p=13, a=2, t=0, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
+    def test_bound_and_walk(self, p, a, t, extra, cofactor, m, r, s, at_pm):
+        ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
+        n_exp = ps.M if at_pm else 2 * a + 2 * t + min(s, a) + 1
+        modulus = p**n_exp
+        bound = degree_bound(ps, m, modulus)
+        # c_i(r) = p^i * sum of FF(e, m) C(e - m, i) r^(e - m - i), exactly,
+        # vanishes mod p^N above the bound in every class
+        for unit in range(1, p):
+            for i in range(bound + 1, n_exp):
+                terms = (perm(e, m) * comb(e - m, i) * pow(unit, e - m - i, modulus) for e in f_exponents(ps) if e - m >= i)
+                assert p**i * sum(terms) % modulus == 0, (unit, i)
+        classes = range(1, p) if r % p == 0 else (r % p,)
+        ns = [c + p * q for q in range(p**a) for c in classes]
+        assert list(unit_values(ps, m, classes, modulus)) == list(derivative_values(ps, m, ns, modulus))
+        # seen on this grid, not assumed by the walk: p = 3 and the other
+        # orders and moduli reach a + 2
+        if m == 0 and at_pm and p >= 5:
+            assert bound <= a + 1
+
+    def test_modulus_must_be_a_power_of_p(self):
+        with pytest.raises(ValueError, match="not a power of p"):
+            unit_values(PS, 0, range(1, 5), 2 * 5**PS.M)
 
 
 class TestLemma4:

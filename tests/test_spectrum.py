@@ -99,6 +99,25 @@ class TestBuildS:
         assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
         assert all(n % ps.p for n in seen)
 
+    def test_class_walk_evaluates_d_plus_one_rows(self, monkeypatch):
+        # an orbit-wall point with 13^4 - 13^3 = 26364 units: a lazy spy
+        # counts the n that unit_values draws, so a walk that evaluated f at
+        # every unit would be seen here, as the eager spy above cannot
+        ps = ParameterSet(13, 3, 0, 13**7 * 67)
+        drawn = []
+        real = jet_module.derivative_values
+
+        def spy(ps_, m, ns, modulus):
+            return real(ps_, m, (drawn.append(n) or n for n in ns), modulus)
+
+        monkeypatch.setattr(jet_module, "derivative_values", spy)
+        rep = theorem3_check(ps)
+        bound = jet_module.degree_bound(ps, 0, ps.p**ps.M)
+        assert rep.holds and rep.lhs == rep.rhs == "12"
+        assert bound < ps.p**ps.a
+        assert 0 < len(drawn) <= (ps.p - 1) * (bound + 1)
+        assert drawn == sorted(drawn) and all(n % ps.p for n in drawn)
+
     def test_restricted_example(self):
         assert build_S_x(PS, 2).counts == {23: 1}
 
