@@ -5,28 +5,29 @@ f^(m)(n) has the falling-factorial closed form
     FF(e+, m) * n^(e+ - m)  +  FF(e-, m) * n^(e- - m),
     FF(e, m) = e (e-1) ... (e-m+1) = math.perm(e, m),
 
-for the order m >= 0 (m = 0 gives f itself; beyond min(e+, e-) a
-monomial just vanishes).  derivative_values is the one place f and f^(m)
-are evaluated; unit_values walks the units n <= p^(a+1) for spectrum's
-value multisets and lemma5's count, and derivative_mod is the point form
-of derivative_values.  A valuation computed mod p^cap that meets 0
-reports as ">= cap" (valuations of polynomial values at residue classes
-are minima over the class, so saturation is the honest answer).  On top
-of that sit the valuation claim matrix for f^(m), the first-order Taylor
-truncation check, and the count of near-critical points of f'.
+for the order m >= 0 (m = 0 gives f itself; beyond min(e+, e-) a monomial
+just vanishes).  derivative_values is the one place f and f^(m) are
+evaluated, and derivative_mod is its point form.  A valuation computed mod
+p^cap that meets 0 reports as ">= cap" (valuations of polynomial values at
+residue classes are minima over the class, so saturation is the honest
+answer).  On top sit the valuation claim matrix for f^(m), the first-order
+Taylor truncation check and the count of near-critical points of f'.
 
-unit_values walks by class differences.  On a class n = r + p*q, with
+unit_values walks the units n <= p^(a+1) for spectrum's value multisets
+and lemma5's count by class differences.  On a class n = r + p*q, with
 x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N is the polynomial
 in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i r^δ + B-_i), δ = x+ - x-.
-While m <= e-, δ = e+ - e- = 2p^(a+t)(p-1), so r^δ ≡ 1 mod p^(a+t+1)
-(Euler) and c_i vanishes mod p^N for every unit r once p^(N-i) divides
-B+_i + B-_i and p^(N-i-a-t-1) divides B+_i; past e-, B-_i = 0 and the
-first test alone decides.  degree_bound's D is the largest i < N that
-fails, from exact ints alone.  Each class takes its first min(p^a, D+1)
-values from derivative_values and steps a (D+1)-row forward-difference
-table for the rest, all classes in lockstep so values arrive in
-increasing n; when p^a <= D+1 (every a = 0 walk) it is evaluated
-directly throughout.  A walk over all p - 1 classes costs (p-1)(D+1)
+Its degree is exactly degree_bound's D in every unit class: the largest
+i < N with p^(N-i) ∤ B+_i + B-_i, or 0.  Proof: r = ω + p*s, with ω the
+Teichmüller lift of r mod p (Washington, Introduction to Cyclotomic Fields,
+ch. 5) and s in Z_p.  As ω^(p-1) = 1 and p - 1 | δ = e+ - e- while m <= e-,
+c_i(ω) is a unit times p^i (B+_i + B-_i), as it is past e-, where B-_i = 0.
+f^(m)(r + p*q) = g(q + s) for g(q) = f^(m)(ω + p*q), and a translate of q
+keeps the degree and leading coefficient mod p^N.  Only e+ ≡ e- mod p - 1
+is used.  Each class takes its first min(p^a, D+1) values from
+derivative_values and steps a (D+1)-row difference table for the rest, the
+classes in lockstep so n increases; when p^a <= D+1 (every a = 0 walk) it
+is evaluated directly throughout.  All p - 1 classes cost (p-1)(D+1)
 evaluations of f^(m) and (p^(a+1) - p^a) D additions.
 """
 
@@ -53,16 +54,14 @@ def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int)
 
 
 def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
-    """A bound D, for every unit class r, on the degree in q of
-    f^(m)(r + p*q) mod modulus = p^N (see the module docstring)."""
+    """The degree D in q of f^(m)(r + p*q) mod modulus = p^N, exact in every unit class r (proof above)."""
     p = ps.p
     n_exp = vp(modulus, p)
     if p**n_exp != modulus:
         raise ValueError(f"modulus {modulus} is not a power of p = {p}")
     (b_plus, x_plus), (b_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
     for i in range(n_exp - 1, 0, -1):
-        bp = b_plus * comb(x_plus, i)
-        if (bp + b_minus * comb(x_minus, i)) % p ** (n_exp - i) or bp % p ** max(n_exp - i - ps.a - ps.t - 1, 0):
+        if (b_plus * comb(x_plus, i) + b_minus * comb(x_minus, i)) % p ** (n_exp - i):
             return i
     return 0
 

@@ -149,17 +149,18 @@ class TestClassWalk:
     @example(p=3, a=0, t=1, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
     @example(p=3, a=2, t=2, extra=1, cofactor=2, m=1, r=2, s=2, at_pm=False)
     @example(p=13, a=2, t=0, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
+    @example(p=3, a=1, t=0, extra=0, cofactor=1, m=1, r=0, s=0, at_pm=True)
     def test_bound_and_walk(self, p, a, t, extra, cofactor, m, r, s, at_pm):
         ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
         n_exp = ps.M if at_pm else 2 * a + 2 * t + min(s, a) + 1
         modulus = p**n_exp
         bound = degree_bound(ps, m, modulus)
         # c_i(r) = p^i * sum of FF(e, m) C(e - m, i) r^(e - m - i), exactly,
-        # vanishes mod p^N above the bound in every class
+        # vanishes mod p^N above the bound in every class, and not at a bound >= 1
         for unit in range(1, p):
-            for i in range(bound + 1, n_exp):
+            for i in range(max(bound, 1), n_exp):
                 terms = (perm(e, m) * comb(e - m, i) * pow(unit, e - m - i, modulus) for e in f_exponents(ps) if e - m >= i)
-                assert p**i * sum(terms) % modulus == 0, (unit, i)
+                assert (p**i * sum(terms) % modulus == 0) == (i > bound), (unit, i)
         classes = range(1, p) if r % p == 0 else (r % p,)
         ns = [c + p * q for q in range(p**a) for c in classes]
         assert list(unit_values(ps, m, classes, modulus)) == list(derivative_values(ps, m, ns, modulus))

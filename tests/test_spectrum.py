@@ -115,7 +115,7 @@ class TestBuildS:
         bound = jet_module.degree_bound(ps, 0, ps.p**ps.M)
         assert rep.holds and rep.lhs == rep.rhs == "12"
         assert bound < ps.p**ps.a
-        assert 0 < len(drawn) <= (ps.p - 1) * (bound + 1)
+        assert len(drawn) == (ps.p - 1) * (bound + 1)
         assert drawn == sorted(drawn) and all(n % ps.p for n in drawn)
 
     def test_restricted_example(self):
