@@ -5,13 +5,13 @@ classification.
 build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
 the p - 1 unit classes mod p, and build_S_x over one class; both take
 the values from jet.unit_values, the one walk of f's unit domain.
-theorem1_check verifies that every d-th root of unity fixes the
-multiset; stabilizer computes the full stabilizer subgroup (cyclic, so
-it is determined by the largest stabilizing prime-power orders);
-theorem3_check compares the stabilizer order against d*p^a
-(v < t) or d (v = t).  j_balanced is the fiber-equidistribution
-diagnostic that controls the p-part of the stabilizer; balance_check
-verifies that it agrees with the stabilizer order, j by j.
+stabilizer computes the full stabilizer subgroup (cyclic, so it is
+determined by the largest stabilizing prime-power orders), and every
+check of Stab(S) reads it: theorem1_check verifies that each d-th root
+of unity has order dividing |Stab(S)|, theorem3_check compares |Stab(S)|
+against d*p^a (v < t) or d (v = t), and balance_check verifies that
+j_balanced, the fiber-equidistribution diagnostic, agrees with the
+p-part of |Stab(S)|, j by j.
 
 Two ResidueMultisets are equal when their moduli and multiplicities
 agree, which is corollary1's verdict on S_x = S_y.  A SubgroupDescriptor
@@ -100,10 +100,12 @@ def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
 
 
 def theorem1_check(ps: ParameterSet) -> CheckReport:
-    """Check that every d-th root of unity g satisfies g*S = S."""
+    """Check that every d-th root of unity g satisfies g*S = S: the unit
+    group is cyclic, so Stab(S) = mu_n, n = |Stab(S)|, and g fixes S iff g^n = 1."""
     s = build_S(ps)
     roots = roots_of_unity(ps.d, ps.p, ps.M)
-    failing = sorted(g for g in roots if not _stabilizes(g, s))
+    order = stabilizer(s).order
+    failing = sorted(g for g in roots if pow(g, order, ps.p**ps.M) != 1)
     dropped = ps.p ** (ps.a + 1) - s.total()
     return CheckReport(
         name="theorem1",

@@ -704,13 +704,18 @@ class TestSweep:
         assert reports[-1]["details"]["sum_valuation"] == "46"
 
     def test_orbit_sweep_config(self):
-        # theorem3 over 101^3 - 101^2 = 1030200 units and lemma5 over
-        # 31^3 - 31^2 units; the pins were computed by the per-n loop that
-        # the class-difference walk replaced, so they come from another route
+        # theorem1 and theorem3 over 101^3 - 101^2 = 1030200 units and lemma5
+        # over 31^3 - 31^2 units; the theorem3 and lemma5 pins were computed
+        # by the per-n loop that the class-difference walk replaced, and the
+        # theorem1 pins by one full scan of S per 50th root of unity, which
+        # reading the stabilizer replaced, so they come from another route
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "orbit_sweep.json").read_text())
         sweep = _sweep_file(sweep_config(raw))
-        assert sweep["summary"] == {"total": 4, "held": 4, "failed": 0, "errored": 0}
-        theorem3, *lemma5 = sweep["reports"]
+        assert sweep["summary"] == {"total": 5, "held": 5, "failed": 0, "errored": 0}
+        theorem1, theorem3, *lemma5 = sweep["reports"]
+        assert theorem1["holds"] is True
+        details = theorem1["details"]
+        assert (details["roots_tested"], details["failing_roots"], details["support_size"]) == ("50", [], "252550")
         assert (theorem3["lhs"], theorem3["rhs"]) == ("50", "50")
         assert [r["details"]["count"] for r in lemma5] == ["28830", "930", "30"]
 

@@ -188,6 +188,42 @@ class TestTheorem1:
     def test_minimal_k(self):
         assert theorem1_check(ParameterSet(5, 0, 0, 5)).holds
 
+    def test_reports_the_roots_that_move_S(self, monkeypatch):
+        # Stab({1, -1}) = {1, -1} mod 5^5, so of the four 4th roots of unity
+        # the two of order 4 fail; [1068, 2057] is the brute-force list of
+        # the roots g with act(g, s) != s
+        s = ResidueMultiset(5, 5, {1: 1, 3124: 1})
+        assert [g for g in roots_of_unity(4, 5, 5) if act(g, s) != s] == [1068, 2057]
+        monkeypatch.setattr(spectrum_module, "build_S", lambda ps: s)
+        rep = theorem1_check(ParameterSet(5, 1, 0, 125))
+        assert not rep.holds
+        assert rep.details["failing_roots"] == [1068, 2057]
+        assert rep.details["roots_tested"] == 4
+
+    @pytest.mark.parametrize(
+        "args, passing",
+        [
+            # |Stab| = 12 = 2^2 * 3, d = 12: the elements of order 2, 4 and 3 pass
+            ((13, 3, 0, 13**7 * 67), 3),
+            # |Stab| = 21 = 3 * 7, d = 3
+            ((7, 1, 1, 686), 2),
+        ],
+    )
+    def test_scans_S_once_per_prime_power_of_stab(self, monkeypatch, args, passing):
+        # theorem1 reads the stabilizer: its full (passing) scans of S are
+        # the stabilizer's, one per prime-power factor of |Stab(S)|, not
+        # one per d-th root of unity
+        real = spectrum_module._stabilizes
+        results = []
+
+        def spy(gval, s):
+            results.append(real(gval, s))
+            return results[-1]
+
+        monkeypatch.setattr(spectrum_module, "_stabilizes", spy)
+        assert theorem1_check(ParameterSet(*args)).holds
+        assert results.count(True) == passing
+
 
 class TestTransport:
     def test_trivial(self):
