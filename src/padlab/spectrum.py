@@ -5,13 +5,13 @@ classification.
 build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
 the p - 1 unit classes mod p, and build_S_x over one class; both take
 the values from jet.unit_values, the one walk of f's unit domain.
-stabilizer computes the full stabilizer subgroup (cyclic, so it is
-determined by the largest stabilizing prime-power orders), and every
-check of Stab(S) reads it: theorem1_check verifies that each d-th root
-of unity has order dividing |Stab(S)|, theorem3_check compares |Stab(S)|
-against d*p^a (v < t) or d (v = t), and balance_check verifies that
-j_balanced, the fiber-equidistribution diagnostic, agrees with the
-p-part of |Stab(S)|, j by j.
+stabilizer computes the full stabilizer subgroup (cyclic, of order
+dividing the gcd of S's multiplicity-level sizes), and every check of
+Stab(S) reads it: theorem1_check verifies that each d-th root of unity
+has order dividing |Stab(S)|, theorem3_check compares |Stab(S)| against
+d*p^a (v < t) or d (v = t), and balance_check verifies that j_balanced,
+the fiber-equidistribution diagnostic, agrees with the p-part of
+|Stab(S)|, j by j.
 
 Two ResidueMultisets are equal when their moduli and multiplicities
 agree, which is corollary1's verdict on S_x = S_y.  A SubgroupDescriptor
@@ -22,7 +22,7 @@ from collections import Counter
 from math import gcd
 
 from .jet import derivative_mod, unit_values
-from .padic_core import element_order, primitive_root, roots_of_unity, unit_group_factors, unit_group_order
+from .padic_core import element_order, factorize, primitive_root, roots_of_unity, unit_group_order
 from .params import ParameterSet
 from .report import CheckReport, Record
 
@@ -174,10 +174,10 @@ def corollary1_check(ps: ParameterSet, x: int, mu: int) -> CheckReport:
 def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
     """The full stabilizer of s under unit multiplication.
 
-    The ambient group is cyclic of order p^(M-1)(p-1), so the stabilizer
-    is the unique cyclic subgroup whose order is the product, over primes
-    q dividing the group order, of the largest q-power q^f such that the
-    canonical element of order q^f fixes s.
+    Stab(s) maps each level of s (its keys of one multiplicity) to itself
+    and acts on it freely, so |Stab(s)| divides the gcd of the level sizes.
+    The unit group is cyclic: its element of order q^j fixes s iff q^j
+    divides |Stab(s)|, so each q^e in that gcd is tried from j = e down.
     """
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
@@ -186,11 +186,11 @@ def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
     n0 = unit_group_order(p, M)
     h = primitive_root(p, M)
     order = 1
-    for q, e in unit_group_factors(p, M).items():
-        for j in range(1, e + 1):
-            if not _stabilizes(pow(h, n0 // q**j, pM), s):
-                break
-            order *= q
+    for q, e in factorize(gcd(n0, *Counter(s.counts.values()).values())).items():
+        j = e
+        while j and not _stabilizes(pow(h, n0 // q**j, pM), s):
+            j -= 1
+        order *= q**j
     return SubgroupDescriptor(order, pow(h, n0 // order, pM), p, M)
 
 

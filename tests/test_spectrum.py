@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padlab.jet as jet_module
@@ -203,16 +203,16 @@ class TestTheorem1:
     @pytest.mark.parametrize(
         "args, passing",
         [
-            # |Stab| = 12 = 2^2 * 3, d = 12: the elements of order 2, 4 and 3 pass
-            ((13, 3, 0, 13**7 * 67), 3),
-            # |Stab| = 21 = 3 * 7, d = 3
+            # |Stab| = 12 = 2^2 * 3, d = 12: the elements of order 4 and 3 pass
+            ((13, 3, 0, 13**7 * 67), 2),
+            # |Stab| = 21 = 3 * 7, d = 3: the elements of order 3 and 7 pass
             ((7, 1, 1, 686), 2),
         ],
     )
-    def test_scans_S_once_per_prime_power_of_stab(self, monkeypatch, args, passing):
-        # theorem1 reads the stabilizer: its full (passing) scans of S are
-        # the stabilizer's, one per prime-power factor of |Stab(S)|, not
-        # one per d-th root of unity
+    def test_scans_S_once_per_prime_of_stab(self, monkeypatch, args, passing):
+        # theorem1 reads the stabilizer, whose level-size bound is |Stab(S)|
+        # here: it scans S once per prime of |Stab(S)|, from that prime's
+        # top power, and every scan passes; not once per d-th root of unity
         real = spectrum_module._stabilizes
         results = []
 
@@ -223,6 +223,7 @@ class TestTheorem1:
         monkeypatch.setattr(spectrum_module, "_stabilizes", spy)
         assert theorem1_check(ParameterSet(*args)).holds
         assert results.count(True) == passing
+        assert results.count(False) == 0
 
 
 class TestTransport:
@@ -321,6 +322,11 @@ class TestStabilizer:
             (7, 0, 1, 14),
             # -1 swaps 1 and 24 but not their multiplicities: the order is 1
             ResidueMultiset(5, 2, {1: 2, 24: 1}),
+            # one level of 4 keys bounds |Stab| by 4, but no unit other than 1
+            # fixes it: the descent runs from order 4 down to 1
+            ResidueMultiset(13, 1, {1: 1, 2: 1, 3: 1, 5: 1}),
+            # the bound is 4 and -1 fixes the set, but neither 5 nor 8 (order 4) does
+            ResidueMultiset(13, 1, {1: 1, 12: 1, 2: 1, 11: 1}),
         ],
     )
     def test_matches_brute_force(self, args):
@@ -329,6 +335,28 @@ class TestStabilizer:
         brute = stabilizer_brute_force(s)
         assert fast.order == brute.order
         assert element_order(fast.generator, s.p, s.M) == fast.order
+
+    @settings(deadline=None)  # the brute force scans 2028 units at 13^3
+    @given(st.data())
+    def test_matches_brute_force_on_unions_of_cosets(self, data):
+        # a union of cosets of a random subgroup H, one random multiplicity
+        # per coset, so H fixes it; one extra key sometimes leaves a rare
+        # level, and then the level-size bound need not be tight
+        p = data.draw(st.sampled_from([3, 5, 7, 13]))
+        M = data.draw(st.integers(1, 3))
+        pM = p**M
+        units = [u for u in range(1, pM) if u % p]
+        m = data.draw(st.sampled_from([m for m in range(1, len(units) + 1) if len(units) % m == 0]))
+        subgroup = [u for u in units if pow(u, m, pM) == 1]
+        counts = {}
+        for x in data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=3)):
+            counts.update(dict.fromkeys((x * u % pM for u in subgroup), data.draw(st.integers(1, 3))))
+        if data.draw(st.booleans()):
+            counts[data.draw(st.sampled_from(units))] = data.draw(st.integers(1, 4))
+        s = ResidueMultiset(p, M, counts)
+        fast = stabilizer(s)
+        assert fast.order == stabilizer_brute_force(s).order
+        assert element_order(fast.generator, p, M) == fast.order
 
     def test_orbit_consistency(self):
         s = build_S(ParameterSet(5, 1, 0, 125))
