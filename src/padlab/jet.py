@@ -24,11 +24,11 @@ ch. 5) and s in Z_p.  As ω^(p-1) = 1 and p - 1 | δ = e+ - e- while m <= e-,
 c_i(ω) is a unit times p^i (B+_i + B-_i), as it is past e-, where B-_i = 0.
 f^(m)(r + p*q) = g(q + s) for g(q) = f^(m)(ω + p*q), and a translate of q
 keeps the degree and leading coefficient mod p^N.  Only e+ ≡ e- mod p - 1
-is used.  Each class takes its first min(p^a, D+1) values from
-derivative_values and steps a (D+1)-row difference table for the rest, the
-classes in lockstep so n increases; when p^a <= D+1 (every a = 0 walk) it
-is evaluated directly throughout.  All p - 1 classes cost (p-1)(D+1)
-evaluations of f^(m) and (p^(a+1) - p^a) D additions.
+is used.  The classes are walked one after another, each whole and in
+increasing n: its first min(p^a, D+1) values from derivative_values, the
+rest from a (D+1)-row difference table; when p^a <= D+1 (every a = 0
+walk) it is evaluated directly throughout.  All p - 1 classes cost
+(p-1)(D+1) evaluations of f^(m) and (p^(a+1) - p^a) D additions.
 """
 
 from collections.abc import Iterable, Iterator
@@ -67,33 +67,31 @@ def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
 
 
 def unit_values(ps: ParameterSet, m: int, classes: range | tuple[int, ...], modulus: int) -> Iterator[int]:
-    """f^(m)(n) mod modulus over the units n = r + p*q <= p^(a+1) whose
-    class r mod p is in classes (increasing, 1 <= r < p); in increasing n.
+    """f^(m)(n) mod modulus at the units n = r + p*q <= p^(a+1) whose class
+    r mod p is in classes (1 <= r < p): class by class, each in increasing n.
 
-    modulus must be a power of p.  The first min(p^a, D+1) rows come from
-    derivative_values, the rest from each class's differences."""
-    rows, width = ps.p**ps.a, len(classes)
-    values = derivative_values(ps, m, (r + ps.p * q for q in range(rows) for r in classes), modulus)
+    modulus must be a power of p.  Each class's first min(p^a, D+1) rows
+    come from derivative_values, the rest from its difference table."""
+    rows = ps.p**ps.a
     head = min(rows, degree_bound(ps, m, modulus) + 1)
-    first = list(islice(values, head * width))
+    values = derivative_values(ps, m, (r + ps.p * q for r in classes for q in range(head)), modulus)
     if head == rows:
-        return iter(first)
-    tails = (_stepped(first[c::width], rows, modulus) for c in range(width))
-    return chain(first, chain.from_iterable(zip(*tails)))
+        return values
+    return chain.from_iterable(_stepped(list(islice(values, head)), rows, modulus) for _ in classes)
 
 
 def _stepped(head: list[int], rows: int, modulus: int) -> Iterator[int]:
-    """g(q) mod modulus for len(head) <= q < rows, where head = g(0), ..., g(D)
-    of an integer polynomial g of degree <= D: the (D+1)-row difference table
+    """g(q) mod modulus for 0 <= q < rows, where head = g(0), ..., g(D) of
+    an integer polynomial g of degree <= D: the (D+1)-row difference table
     at q = 0, each row the running sum of the row below it, in C."""
-    start, diffs = len(head), [head[0]]
+    diffs = [head[0]]
     while len(head) > 1:
         head = [y - x for x, y in zip(head, head[1:])]
         diffs.append(head[0])
     seq = repeat(diffs.pop())
     for d in reversed(diffs):
         seq = accumulate(seq, initial=d)
-    return map(modulus.__rmod__, islice(seq, start, rows))
+    return map(modulus.__rmod__, islice(seq, rows))
 
 
 def derivative_mod(ps: ParameterSet, m: int, n: int, modulus: int) -> int:

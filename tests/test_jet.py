@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 from math import comb, perm
 
 import pytest
@@ -125,34 +126,40 @@ class TestDerivative:
         # the orbit checkers' modulus, or lemma5's p^(2a+2t+s+1)
         s = data.draw(st.integers(min_value=0, max_value=a), label="s")
         modulus = data.draw(st.sampled_from([p**ps.M, p ** (2 * a + 2 * t + s + 1)]), label="modulus")
-        ns = [n for n in range(1, p ** (a + 1)) if n % p in classes]
-        assert len(ns) == p**a * len(classes)
+        ns = [c + p * q for c in classes for q in range(p**a)]
         terms = poly_derivative([(1, e) for e in f_exponents(ps)], m)
         assert list(unit_values(ps, m, classes, modulus)) == [poly_eval(terms, n) % modulus for n in ns]
 
 
+# p <= 13, a <= 2, t <= 2 and 2a+1 <= vp(k) <= 2a+3, at the orbit checkers'
+# modulus p^M or lemma5's p^(2a+2t+s+1); r = 0 walks all classes
+CLASS_WALK_GRID = dict(
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    a=st.integers(min_value=0, max_value=2),
+    t=st.integers(min_value=0, max_value=2),
+    extra=st.integers(min_value=0, max_value=2),
+    cofactor=st.sampled_from([1, 2, 4]),
+    m=st.integers(min_value=0, max_value=2),
+    r=st.integers(min_value=0, max_value=12),
+    s=st.integers(min_value=0, max_value=2),
+    at_pm=st.booleans(),
+)
+
+
+def class_walk_point(p, a, t, extra, cofactor, s, at_pm):
+    ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
+    return ps, (ps.M if at_pm else 2 * a + 2 * t + min(s, a) + 1)
+
+
 class TestClassWalk:
-    # p <= 13, a <= 2, t <= 2 and 2a+1 <= vp(k) <= 2a+3, at the orbit
-    # checkers' modulus p^M or lemma5's p^(2a+2t+s+1); r = 0 walks all classes
     @settings(deadline=None)
-    @given(
-        st.sampled_from([3, 5, 7, 11, 13]),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2),
-        st.sampled_from([1, 2, 4]),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=12),
-        st.integers(min_value=0, max_value=2),
-        st.booleans(),
-    )
+    @given(**CLASS_WALK_GRID)
     @example(p=3, a=0, t=1, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
     @example(p=3, a=2, t=2, extra=1, cofactor=2, m=1, r=2, s=2, at_pm=False)
     @example(p=13, a=2, t=0, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
     @example(p=3, a=1, t=0, extra=0, cofactor=1, m=1, r=0, s=0, at_pm=True)
     def test_bound_and_walk(self, p, a, t, extra, cofactor, m, r, s, at_pm):
-        ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
-        n_exp = ps.M if at_pm else 2 * a + 2 * t + min(s, a) + 1
+        ps, n_exp = class_walk_point(p, a, t, extra, cofactor, s, at_pm)
         modulus = p**n_exp
         bound = degree_bound(ps, m, modulus)
         # c_i(r) = p^i * sum of FF(e, m) C(e - m, i) r^(e - m - i), exactly,
@@ -162,12 +169,36 @@ class TestClassWalk:
                 terms = (perm(e, m) * comb(e - m, i) * pow(unit, e - m - i, modulus) for e in f_exponents(ps) if e - m >= i)
                 assert (p**i * sum(terms) % modulus == 0) == (i > bound), (unit, i)
         classes = range(1, p) if r % p == 0 else (r % p,)
-        ns = [c + p * q for q in range(p**a) for c in classes]
+        ns = [c + p * q for c in classes for q in range(p**a)]
         assert list(unit_values(ps, m, classes, modulus)) == list(derivative_values(ps, m, ns, modulus))
         # seen on this grid, not assumed by the walk: p = 3 and the other
         # orders and moduli reach a + 2
         if m == 0 and at_pm and p >= 5:
             assert bound <= a + 1
+
+    @settings(deadline=None)
+    @given(**CLASS_WALK_GRID)
+    @example(p=5, a=1, t=0, extra=0, cofactor=1, m=0, r=0, s=0, at_pm=True)
+    def test_class_walks_concatenate(self, p, a, t, extra, cofactor, m, r, s, at_pm):
+        # a walk over several classes is the one-class walks, one after
+        # another; r > 0 walks the classes r mod p down to 1
+        ps, n_exp = class_walk_point(p, a, t, extra, cofactor, s, at_pm)
+        classes = range(1, p) if r % p == 0 else tuple(range(r % p, 0, -1))
+        walks = (unit_values(ps, m, (c,), p**n_exp) for c in classes)
+        assert list(unit_values(ps, m, classes, p**n_exp)) == list(chain.from_iterable(walks))
+
+    @given(
+        st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=10**12),
+    )
+    def test_stepped_reproduces_its_polynomial(self, coefficients, rows, modulus):
+        # g of degree D = len(coefficients) - 1 <= 4, stepped from g(0), ..., g(D)
+        def g(q):
+            return sum(c * q**i for i, c in enumerate(coefficients))
+
+        head = [g(q) for q in range(len(coefficients))]
+        assert list(jet._stepped(head, rows, modulus)) == [g(q) % modulus for q in range(rows)]
 
     def test_modulus_must_be_a_power_of_p(self):
         with pytest.raises(ValueError, match="not a power of p"):

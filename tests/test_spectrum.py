@@ -90,19 +90,23 @@ class TestBuildS:
 
         monkeypatch.setattr(jet_module, "derivative_values", spy)
         rep = theorem1_check(ps)
-        assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
+        # the walk evaluates f only at the first min(p^a, D + 1) units of each class
+        head = min(ps.p**ps.a, jet_module.degree_bound(ps, 0, ps.p**ps.M) + 1)
+        assert len(seen) == (ps.p - 1) * head
         assert all(n % ps.p for n in seen)
         assert rep.details["dropped_values"] == ps.p**ps.a
-        # lemma5 walks the same units; k * p^t makes v = t, which it requires
+        # lemma5 walks the same units of f'; k * p^t makes v = t, which it requires
         seen.clear()
-        lemma5_count(ParameterSet(ps.p, ps.a, ps.t, ps.k * ps.p**ps.t), 0)
-        assert len(seen) == ps.p ** (ps.a + 1) - ps.p**ps.a
+        ps5 = ParameterSet(ps.p, ps.a, ps.t, ps.k * ps.p**ps.t)
+        lemma5_count(ps5, 0)
+        head = min(ps.p**ps.a, jet_module.degree_bound(ps5, 1, ps.p ** (2 * ps.a + 2 * ps.t + 1)) + 1)
+        assert len(seen) == (ps.p - 1) * head
         assert all(n % ps.p for n in seen)
 
     def test_class_walk_evaluates_d_plus_one_rows(self, monkeypatch):
         # an orbit-wall point with 13^4 - 13^3 = 26364 units: a lazy spy
-        # counts the n that unit_values draws, so a walk that evaluated f at
-        # every unit would be seen here, as the eager spy above cannot
+        # records the n that unit_values draws, in the order drawn, so it
+        # sees each class's D + 1 head rows and that the classes come whole
         ps = ParameterSet(13, 3, 0, 13**7 * 67)
         drawn = []
         real = jet_module.derivative_values
@@ -115,8 +119,7 @@ class TestBuildS:
         bound = jet_module.degree_bound(ps, 0, ps.p**ps.M)
         assert rep.holds and rep.lhs == rep.rhs == "12"
         assert bound < ps.p**ps.a
-        assert len(drawn) == (ps.p - 1) * (bound + 1)
-        assert drawn == sorted(drawn) and all(n % ps.p for n in drawn)
+        assert drawn == [r + ps.p * q for r in range(1, ps.p) for q in range(bound + 1)]
 
     def test_restricted_example(self):
         assert build_S_x(PS, 2).counts == {23: 1}
@@ -357,6 +360,28 @@ class TestStabilizer:
         fast = stabilizer(s)
         assert fast.order == stabilizer_brute_force(s).order
         assert element_order(fast.generator, p, M) == fast.order
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 13]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_verdicts_do_not_depend_on_key_order(self, p, a, t, extra, cofactor):
+        # S's keys come in the order the walk meets them (p^(a+1) <= 13^3
+        # here); the same multiset with its keys sorted, or reversed, must
+        # give the same stabilizer and the same j-balance at every j
+        ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
+        s = build_S(ps)
+        sub = stabilizer(s)
+        balanced = [j_balanced(s, j) for j in range(1, ps.M)]
+        for keys in (sorted(s.counts), sorted(s.counts, reverse=True)):
+            copy = ResidueMultiset(p, ps.M, {key: s.counts[key] for key in keys})
+            assert list(copy.counts) == keys and copy == s
+            assert stabilizer(copy) == sub
+            assert [j_balanced(copy, j) for j in range(1, ps.M)] == balanced
 
     def test_orbit_consistency(self):
         s = build_S(ParameterSet(5, 1, 0, 125))
