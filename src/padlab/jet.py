@@ -40,16 +40,21 @@ from .params import ParameterSet, f_exponents
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
+def _terms(ps: ParameterSet, m: int) -> list[tuple[int, int]]:
+    """f^(m)'s terms (FF(e, m), e - m) for e = e+, e-; past e, FF(e, m) = 0
+    and the exponent is clamped at 0, not branched on."""
+    if m < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return [(perm(e, m), max(e - m, 0)) for e in f_exponents(ps)]
+
+
 def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int) -> Iterator[int]:
     """f^(m)(n) mod modulus for each n in ns, in order.
 
-    The coefficients and exponents are computed once, at call time, as is
-    the check on m; each n then costs two modular powers.  A monomial with
-    m > e has FF(e, m) = 0, so its exponent is clamped at 0, not branched on.
+    The terms are computed once, at call time, as is the check on m; each
+    n then costs two modular powers.
     """
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    (c_plus, x_plus), (c_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
+    (c_plus, x_plus), (c_minus, x_minus) = _terms(ps, m)
     return ((c_plus * pow(n, x_plus, modulus) + c_minus * pow(n, x_minus, modulus)) % modulus for n in ns)
 
 
@@ -59,7 +64,7 @@ def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
     n_exp = vp(modulus, p)
     if p**n_exp != modulus:
         raise ValueError(f"modulus {modulus} is not a power of p = {p}")
-    (b_plus, x_plus), (b_minus, x_minus) = ((perm(e, m), max(e - m, 0)) for e in f_exponents(ps))
+    (b_plus, x_plus), (b_minus, x_minus) = _terms(ps, m)
     for i in range(n_exp - 1, 0, -1):
         if (b_plus * comb(x_plus, i) + b_minus * comb(x_minus, i)) % p ** (n_exp - i):
             return i

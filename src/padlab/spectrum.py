@@ -5,24 +5,24 @@ classification.
 build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
 the p - 1 unit classes mod p, and build_S_x over one class; both take
 the values from jet.unit_values, the one walk of f's unit domain.
-stabilizer computes the full stabilizer subgroup (cyclic, of order
-dividing the gcd of S's multiplicity-level sizes), and every check of
-Stab(S) reads it: theorem1_check verifies that each d-th root of unity
-has order dividing |Stab(S)|, theorem3_check compares |Stab(S)| against
-d*p^a (v < t) or d (v = t), and balance_check verifies that j_balanced,
-the fiber-equidistribution diagnostic, agrees with the p-part of
-|Stab(S)|, j by j.
+The unit group is cyclic, so Stab(S) = mu_n is fixed by its order
+n = |Stab(S)|, which divides the gcd of S's multiplicity-level sizes.
+stabilizer returns n, and every check of Stab(S) reads it:
+theorem1_check verifies that each d-th root of unity has order dividing
+n, theorem3_check compares n against d*p^a (v < t) or d (v = t) and
+reports the generator h^(n0/n) of mu_n (h the primitive root, n0 the
+unit group order), and balance_check verifies that j_balanced, the
+fiber-equidistribution diagnostic, agrees with the p-part of n, j by j.
 
 Two ResidueMultisets are equal when their moduli and multiplicities
-agree, which is corollary1's verdict on S_x = S_y.  A SubgroupDescriptor
-checks at construction that its generator has the order it states.
+agree, which is corollary1's verdict on S_x = S_y.
 """
 
 from collections import Counter
 from math import gcd
 
 from .jet import derivative_mod, unit_values
-from .padic_core import element_order, factorize, primitive_root, roots_of_unity, unit_group_order
+from .padic_core import factorize, primitive_root, roots_of_unity, unit_group_order
 from .params import ParameterSet
 from .report import CheckReport, Record
 
@@ -49,18 +49,6 @@ class ResidueMultiset(Record):
 
     def __len__(self):
         return len(self.counts)
-
-
-class SubgroupDescriptor(Record):
-    """A cyclic subgroup of the unit group mod p^M: its order and a generator."""
-
-    def __init__(self, order: int, generator: int, p: int, M: int):
-        if element_order(generator, p, M) != order:
-            raise ValueError(f"generator {generator} does not have order {order}")
-        self.order = order
-        self.generator = generator
-        self.p = p
-        self.M = M
 
 
 def build_S(ps: ParameterSet) -> ResidueMultiset:
@@ -104,7 +92,7 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
     group is cyclic, so Stab(S) = mu_n, n = |Stab(S)|, and g fixes S iff g^n = 1."""
     s = build_S(ps)
     roots = roots_of_unity(ps.d, ps.p, ps.M)
-    order = stabilizer(s).order
+    order = stabilizer(s)
     failing = sorted(g for g in roots if pow(g, order, ps.p**ps.M) != 1)
     dropped = ps.p ** (ps.a + 1) - s.total()
     return CheckReport(
@@ -171,8 +159,8 @@ def corollary1_check(ps: ParameterSet, x: int, mu: int) -> CheckReport:
     )
 
 
-def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
-    """The full stabilizer of s under unit multiplication.
+def stabilizer(s: ResidueMultiset) -> int:
+    """|Stab(s)|, the order of the stabilizer of s under unit multiplication.
 
     Stab(s) maps each level of s (its keys of one multiplicity) to itself
     and acts on it freely, so |Stab(s)| divides the gcd of the level sizes.
@@ -181,34 +169,34 @@ def stabilizer(s: ResidueMultiset) -> SubgroupDescriptor:
     """
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
-    p, M = s.p, s.M
-    pM = p**M
-    n0 = unit_group_order(p, M)
-    h = primitive_root(p, M)
+    pM = s.p**s.M
+    n0 = unit_group_order(s.p, s.M)
+    h = primitive_root(s.p, s.M)
     order = 1
     for q, e in factorize(gcd(n0, *Counter(s.counts.values()).values())).items():
         j = e
         while j and not _stabilizes(pow(h, n0 // q**j, pM), s):
             j -= 1
         order *= q**j
-    return SubgroupDescriptor(order, pow(h, n0 // order, pM), p, M)
+    return order
 
 
 def theorem3_check(ps: ParameterSet) -> CheckReport:
     """Check Stab(S) = mu_n with n = d*p^a when v < t and n = d when v = t."""
-    s = build_S(ps)
-    sub = stabilizer(s)
+    order = stabilizer(build_S(ps))
     expected = ps.d * ps.p**ps.a if ps.v < ps.t else ps.d
-    is_root_group = pow(sub.generator, expected, ps.p**ps.M) == 1
+    pM = ps.p**ps.M
+    generator = pow(primitive_root(ps.p, ps.M), unit_group_order(ps.p, ps.M) // order, pM)
+    is_root_group = pow(generator, expected, pM) == 1
     return CheckReport(
         name="theorem3",
         inputs=ps.as_dict(),
-        holds=sub.order == expected,
-        lhs=str(sub.order),
+        holds=order == expected,
+        lhs=str(order),
         rhs=str(expected),
         modulus=(ps.p, ps.M),
         details={
-            "generator": sub.generator,
+            "generator": generator,
             "branch": "v<t" if ps.v < ps.t else "v=t",
             "generator_is_nth_root": is_root_group,
         },
@@ -238,7 +226,7 @@ def balance_check(ps: ParameterSet, j: int) -> CheckReport:
     _check_j(j, ps.M)  # before S, which costs far more than the check
     s = build_S(ps)
     balanced = j_balanced(s, j)
-    order = stabilizer(s).order
+    order = stabilizer(s)
     divides = order % ps.p**j == 0
     return CheckReport(
         name="balance",

@@ -2,25 +2,20 @@
 
 from collections import Counter
 
-from padlab.padic_core import element_order, vp
+from padlab.padic_core import vp
 from padlab.params import ParameterSet, f_exponents
 from padlab.report import CheckReport
-from padlab.spectrum import ResidueMultiset, SubgroupDescriptor, act
+from padlab.spectrum import ResidueMultiset, act
 
 
-def stabilizer_brute_force(s: ResidueMultiset) -> SubgroupDescriptor:
-    """Stabilizer by scanning every unit; the oracle for small moduli.
+def stabilizer_brute_force(s: ResidueMultiset) -> int:
+    """|Stab(s)| by scanning every unit; the oracle for small moduli.
 
     Membership is whole-multiset equality u*S == S, not the counting
     shortcut that spectrum.stabilizer takes."""
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
-    members = [u for u in range(1, s.p**s.M) if u % s.p != 0 and act(u, s) == s]
-    order = len(members)
-    for u in members:
-        if element_order(u, s.p, s.M) == order:
-            return SubgroupDescriptor(order, u, s.p, s.M)
-    raise AssertionError("stabilizer scan found no generator")  # not cyclic: impossible
+    return sum(act(u, s) == s for u in range(1, s.p**s.M) if u % s.p != 0)
 
 
 def j_balanced_brute_force(s: ResidueMultiset, j: int) -> bool:

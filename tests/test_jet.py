@@ -204,6 +204,14 @@ class TestClassWalk:
         with pytest.raises(ValueError, match="not a power of p"):
             unit_values(PS, 0, range(1, 5), 2 * 5**PS.M)
 
+    def test_negative_order_rejected(self):
+        # the walk and its degree bound name the derivative order, as
+        # derivative_values does, not math.perm's argument
+        with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
+            unit_values(PS, -1, range(1, 5), 5**PS.M)
+        with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
+            degree_bound(PS, -1, 5**PS.M)
+
 
 class TestLemma4:
     def test_example_first_order(self):

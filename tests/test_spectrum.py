@@ -12,7 +12,6 @@ import padlab.spectrum as spectrum_module
 from padlab.params import ParameterSet
 from padlab.spectrum import (
     ResidueMultiset,
-    SubgroupDescriptor,
     act,
     balance_check,
     build_S,
@@ -295,20 +294,17 @@ class TestCorollary1:
 
 class TestStabilizer:
     def test_example(self):
-        sub = stabilizer(ResidueMultiset(*M25, {2: 2, 23: 2}))
-        assert sub.order == 2 and sub.generator == 24 and (sub.p, sub.M) == M25
+        assert stabilizer(ResidueMultiset(*M25, {2: 2, 23: 2})) == 2
+        # that multiset is build_S(PS), whose stabilizer mu_2 theorem3 generates by -1
+        assert build_S(PS).counts == {2: 2, 23: 2}
+        assert theorem3_check(PS).details["generator"] == 24
 
     def test_singleton(self):
-        assert stabilizer(ResidueMultiset(5, 1, {1: 1})).order == 1
+        assert stabilizer(ResidueMultiset(5, 1, {1: 1})) == 1
 
     def test_full_unit_set(self):
         s = ResidueMultiset(7, 1, {u: 1 for u in range(1, 7)})
-        assert stabilizer(s).order == 6
-
-    def test_descriptor_checks_generator_order(self):
-        assert SubgroupDescriptor(2, 24, *M25).order == 2
-        with pytest.raises(ValueError, match="does not have order"):
-            SubgroupDescriptor(4, 24, *M25)
+        assert stabilizer(s) == 6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -334,10 +330,7 @@ class TestStabilizer:
     )
     def test_matches_brute_force(self, args):
         s = args if isinstance(args, ResidueMultiset) else build_S(ParameterSet(*args))
-        fast = stabilizer(s)
-        brute = stabilizer_brute_force(s)
-        assert fast.order == brute.order
-        assert element_order(fast.generator, s.p, s.M) == fast.order
+        assert stabilizer(s) == stabilizer_brute_force(s)
 
     @settings(deadline=None)  # the brute force scans 2028 units at 13^3
     @given(st.data())
@@ -357,9 +350,7 @@ class TestStabilizer:
         if data.draw(st.booleans()):
             counts[data.draw(st.sampled_from(units))] = data.draw(st.integers(1, 4))
         s = ResidueMultiset(p, M, counts)
-        fast = stabilizer(s)
-        assert fast.order == stabilizer_brute_force(s).order
-        assert element_order(fast.generator, p, M) == fast.order
+        assert stabilizer(s) == stabilizer_brute_force(s)
 
     @settings(deadline=None)
     @given(
@@ -375,25 +366,26 @@ class TestStabilizer:
         # give the same stabilizer and the same j-balance at every j
         ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
         s = build_S(ps)
-        sub = stabilizer(s)
+        order = stabilizer(s)
         balanced = [j_balanced(s, j) for j in range(1, ps.M)]
         for keys in (sorted(s.counts), sorted(s.counts, reverse=True)):
             copy = ResidueMultiset(p, ps.M, {key: s.counts[key] for key in keys})
             assert list(copy.counts) == keys and copy == s
-            assert stabilizer(copy) == sub
+            assert stabilizer(copy) == order
             assert [j_balanced(copy, j) for j in range(1, ps.M)] == balanced
 
     def test_orbit_consistency(self):
-        s = build_S(ParameterSet(5, 1, 0, 125))
-        sub = stabilizer(s)
+        ps = ParameterSet(5, 1, 0, 125)
+        s = build_S(ps)
+        order = stabilizer(s)
         pM = s.p**s.M
-        g = sub.generator
+        g = theorem3_check(ps).details["generator"]
         acc = 1
-        for _ in range(sub.order):
+        for _ in range(order):
             acc = acc * g % pM
             assert act(acc, s) == s
         # elements outside the stabilizer move the multiset
-        outside = [u for u in range(2, 40) if u % 5 and pow(u, sub.order, pM) != 1]
+        outside = [u for u in range(2, 40) if u % 5 and pow(u, order, pM) != 1]
         assert any(act(u, s) != s for u in outside)
 
 
@@ -419,10 +411,39 @@ class TestTheorem3:
         # the theorem1 containment restated at stabilizer level
         for args in [(5, 0, 0, 10), (5, 0, 1, 10), (7, 0, 0, 14), (5, 1, 0, 125)]:
             ps = ParameterSet(*args)
-            sub = stabilizer(build_S(ps))
-            assert sub.order % ps.d == 0
+            assert stabilizer(build_S(ps)) % ps.d == 0
             for g in roots_of_unity(ps.d, ps.p, ps.M):
                 assert act(g, build_S(ps)) == build_S(ps)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 13]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_reports_a_generator_of_the_stabilizer(self, p, a, t, extra, cofactor):
+        # the generator h^(n0/|Stab(S)|) has order lhs and fixes S; it is
+        # an rhs-th root of unity exactly when lhs divides rhs
+        ps = ParameterSet(p, a, t, cofactor * p ** (2 * a + 1 + extra))
+        rep = theorem3_check(ps)
+        generator = int(rep.details["generator"])
+        assert element_order(generator, p, ps.M) == int(rep.lhs)
+        assert act(generator, build_S(ps)) == build_S(ps)
+        assert rep.details["generator_is_nth_root"] == (int(rep.rhs) % int(rep.lhs) == 0)
+
+    @pytest.mark.parametrize("order, is_root", [(1, True), (4, False)])
+    def test_reports_an_unexpected_order(self, monkeypatch, order, is_root):
+        # at PS the expected order is 2 and n0 = 20; a stabilizer of another
+        # order fails the check, and its generator, of that order, is reported
+        # all the same (order 1: the generator "1", a square root of unity)
+        monkeypatch.setattr(spectrum_module, "stabilizer", lambda s: order)
+        rep = theorem3_check(PS)
+        generator = int(rep.to_json_dict()["details"]["generator"])
+        assert not rep.holds and (rep.lhs, rep.rhs) == (str(order), "2")
+        assert element_order(generator, *M25) == order
+        assert rep.details["generator_is_nth_root"] == is_root
 
 
 class TestJBalanced:
@@ -475,7 +496,7 @@ class TestJBalanced:
         # no further
         ps = ParameterSet(*args)
         s = build_S(ps)
-        order = stabilizer(s).order
+        order = stabilizer(s)
         e = 0
         while order % ps.p == 0:
             order //= ps.p
