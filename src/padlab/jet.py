@@ -13,22 +13,30 @@ residue classes are minima over the class, so saturation is the honest
 answer).  On top sit the valuation claim matrix for f^(m), the first-order
 Taylor truncation check and the count of near-critical points of f'.
 
-unit_values walks the units n <= p^(a+1) for spectrum's value multisets
-and lemma5's count by class differences.  On a class n = r + p*q, with
-x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N is the polynomial
-in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i r^δ + B-_i), δ = x+ - x-.
-Its degree is exactly degree_bound's D in every unit class: the largest
-i < N with p^(N-i) ∤ B+_i + B-_i, or 0.  Proof: r = ω + p*s, with ω the
-Teichmüller lift of r mod p (Washington, Introduction to Cyclotomic Fields,
-ch. 5) and s in Z_p.  As ω^(p-1) = 1 and p - 1 | δ = e+ - e- while m <= e-,
-c_i(ω) is a unit times p^i (B+_i + B-_i), as it is past e-, where B-_i = 0.
-f^(m)(r + p*q) = g(q + s) for g(q) = f^(m)(ω + p*q), and a translate of q
-keeps the degree and leading coefficient mod p^N.  Only e+ ≡ e- mod p - 1
-is used.  The classes are walked one after another, each whole and in
-increasing n: its first min(p^a, D+1) values from derivative_values, the
-rest from a (D+1)-row difference table; when p^a <= D+1 (every a = 0
-walk) it is evaluated directly throughout.  All p - 1 classes cost
-(p-1)(D+1) evaluations of f^(m) and (p^(a+1) - p^a) D additions.
+unit_values walks the units n = r + p*q <= p^(a+1) of given classes r mod
+p.  With x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N on class
+r is the polynomial in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i
+r^δ + B-_i), δ = x+ - x-, of degree exactly degree_bound's D in every
+class: the largest i < N with p^(N-i) ∤ B+_i + B-_i, or 0.  Proof: r = ω +
+p*s, ω the Teichmüller lift of r mod p (Washington, Introduction to
+Cyclotomic Fields, ch. 5), s in Z_p.  As ω^(p-1) = 1 and p - 1 | δ = e+ -
+e- while m <= e-, c_i(ω) is a unit times p^i (B+_i + B-_i), as it is past
+e-, where B-_i = 0; f^(m)(r + p*q) = g(q + s) for g(q) = f^(m)(ω + p*q),
+and a translate of q keeps degree and leading coefficient mod p^N.  A class
+is walked in increasing n: min(p^a, D+1) values from derivative_values,
+the rest from a (D+1)-row difference table, at a cost of D + 1 evaluations
+of f^(m) and (p^a - D - 1) D additions.
+
+The orbit checks and lemma5 walk class 1 alone.  A unit n is ζu mod
+p^(a+1), ζ the Teichmüller lift of n mod p and u = 1 + p*q, q < p^a, which
+maps each class onto class 1.  Needing only p - 1 | e+ - e-, f(ζu) =
+ζ^e+ f(u) and f'(ζu) = ζ^(e+ - 1) f'(u).  And f is p^(a+1)-periodic mod
+p^M on units: in f(n + p^(a+1) z) - f(n) = Σ_{m>=1} f^(m)(n) (p^(a+1) z)^m
+/ m!, lemma4's floors give vp >= 2a+t+v+1 + a+1 = M at m = 1, and 2a+t+v +
+m(a+1) - vp(m!) >= M at m >= 2, as vp(m!) <= (m-1)/2.  One order up, f' is
+p^(a+1)-periodic mod p^(M-1), which p^(2a+2t+s+1) divides when v = t and
+s <= a.  So f(n) ≡ ζ^e+ f(u) mod p^M, which spectrum reads as S built from
+S_1, and lemma5's count is p - 1 times its count on class 1.
 """
 
 from collections.abc import Iterable, Iterator
@@ -209,7 +217,7 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     # vp(f'(u)) >= threshold exactly when f'(u) ≡ 0 mod p^threshold
-    count = sum(v == 0 for v in unit_values(ps, 1, range(1, ps.p), ps.p**threshold))
+    count = (ps.p - 1) * sum(v == 0 for v in unit_values(ps, 1, (1,), ps.p**threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

@@ -1,17 +1,22 @@
-"""The value multiset of f(n) = n^((k+p^a(p-1))p^t) + n^((k-p^a(p-1))p^t)
-mod p^M, the multiplication action of the unit group on it, and stabilizer
-classification.
+"""The value multiset S of f(n) = n^((k+p^a(p-1))p^t) + n^((k-p^a(p-1))p^t)
+mod p^M over the units n <= p^(a+1), the unit action on it, and stabilizers.
 
-build_S collects f(n), with multiplicity, over the units n <= p^(a+1),
-the p - 1 unit classes mod p, and build_S_x over one class; both take
-the values from jet.unit_values, the one walk of f's unit domain.
-The unit group is cyclic, so Stab(S) = mu_n is fixed by its order
-n = |Stab(S)|, which divides the gcd of S's multiplicity-level sizes.
-stabilizer returns n, and every check of Stab(S) reads it:
-theorem1_check verifies that each d-th root of unity has order dividing
-n, theorem3_check compares n against d*p^a (v < t) or d (v = t) and
-reports the generator h^(n0/n) of mu_n (h the primitive root, n0 the
-unit group order), and balance_check verifies that j_balanced, the
+build_S walks all p - 1 unit classes mod p and build_S_x one, each through
+jet.unit_values; the checks read S_1 = build_S_x(ps, 1), 1/(p-1) of the
+walk.  By jet's proof, a unit n ≡ ζu mod p^(a+1) has f(n) ≡ ζ^e+ f(u) mod
+p^M, and ζ^e+ runs over mu_d, (p-1)/d times each (gcd(e+, p-1) = gcd(k,
+p-1)): S is (p-1)/d copies of the sum of η*S_1 over η in mu_d.  As S_1 ≡
+f(1) = 2 mod p, the d translates lie in distinct cosets mod p, so a unit
+ωu (ω Teichmüller, u ≡ 1 mod p) fixes S iff ω is in mu_d and u fixes S_1,
+and a unit ≢ 1 mod p moves S_1.  So |Stab(S)| = d*stabilizer(S_1), S has
+d*len(S_1) keys and (p-1)*S_1.total() values, and S is j-balanced iff S_1
+is, as a fiber mod p^(M-j) lies in one coset and η maps fibers onto fibers.
+The unit group is cyclic, so Stab(S) = mu_n is fixed by n = |Stab(S)|:
+theorem1_check verifies that each d-th root of unity has order dividing n,
+true by construction here (tests/oracles.py keeps the full walk as its
+independent route), theorem3_check compares n against d*p^a (v < t) or d
+(v = t) and reports the generator h^(n0/n) of mu_n (h the primitive root,
+n0 the unit group order), and balance_check verifies that j_balanced, the
 fiber-equidistribution diagnostic, agrees with the p-part of n, j by j.
 
 Two ResidueMultisets are equal when their moduli and multiplicities
@@ -52,12 +57,8 @@ class ResidueMultiset(Record):
 
 
 def build_S(ps: ParameterSet) -> ResidueMultiset:
-    """The multiset of values f(n) mod p^M over the units n <= p^(a+1), all
-    p - 1 unit classes mod p: total multiplicity p^(a+1) - p^a.
-
-    f(n) ≡ 2n^(kp^t) mod p, so every value is invertible, as
-    ResidueMultiset checks.
-    """
+    """The multiset of f(n) mod p^M over the units n <= p^(a+1), all p - 1
+    classes: p^(a+1) - p^a values, invertible as f(n) ≡ 2n^(kp^t) mod p."""
     return ResidueMultiset(ps.p, ps.M, dict(Counter(unit_values(ps, 0, range(1, ps.p), ps.p**ps.M))))
 
 
@@ -90,11 +91,11 @@ def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
 def theorem1_check(ps: ParameterSet) -> CheckReport:
     """Check that every d-th root of unity g satisfies g*S = S: the unit
     group is cyclic, so Stab(S) = mu_n, n = |Stab(S)|, and g fixes S iff g^n = 1."""
-    s = build_S(ps)
+    s1 = build_S_x(ps, 1)
     roots = roots_of_unity(ps.d, ps.p, ps.M)
-    order = stabilizer(s)
+    order = ps.d * stabilizer(s1)
     failing = sorted(g for g in roots if pow(g, order, ps.p**ps.M) != 1)
-    dropped = ps.p ** (ps.a + 1) - s.total()
+    total = (ps.p - 1) * s1.total()
     return CheckReport(
         name="theorem1",
         inputs=ps.as_dict(),
@@ -105,9 +106,9 @@ def theorem1_check(ps: ParameterSet) -> CheckReport:
         details={
             "roots_tested": len(roots),
             "failing_roots": failing,
-            "support_size": len(s),
-            "total_multiplicity": s.total(),
-            "dropped_values": dropped,
+            "support_size": ps.d * len(s1),
+            "total_multiplicity": total,
+            "dropped_values": ps.p ** (ps.a + 1) - total,
         },
     )
 
@@ -183,7 +184,7 @@ def stabilizer(s: ResidueMultiset) -> int:
 
 def theorem3_check(ps: ParameterSet) -> CheckReport:
     """Check Stab(S) = mu_n with n = d*p^a when v < t and n = d when v = t."""
-    order = stabilizer(build_S(ps))
+    order = ps.d * stabilizer(build_S_x(ps, 1))
     expected = ps.d * ps.p**ps.a if ps.v < ps.t else ps.d
     pM = ps.p**ps.M
     generator = pow(primitive_root(ps.p, ps.M), unit_group_order(ps.p, ps.M) // order, pM)
@@ -223,10 +224,10 @@ def balance_check(ps: ParameterSet, j: int) -> CheckReport:
     """Check that S is j-balanced exactly when p^j divides |Stab(S)|: the
     units' subgroup of order p^j is {x ≡ 1 mod p^(M-j)}, whose orbits are
     the fibers of reduction mod p^(M-j)."""
-    _check_j(j, ps.M)  # before S, which costs far more than the check
-    s = build_S(ps)
-    balanced = j_balanced(s, j)
-    order = stabilizer(s)
+    _check_j(j, ps.M)  # before S_1, which costs far more than the check
+    s1 = build_S_x(ps, 1)
+    balanced = j_balanced(s1, j)
+    order = ps.d * stabilizer(s1)
     divides = order % ps.p**j == 0
     return CheckReport(
         name="balance",

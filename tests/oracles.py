@@ -2,10 +2,11 @@
 
 from collections import Counter
 
-from padlab.padic_core import vp
+from padlab.jet import unit_values
+from padlab.padic_core import primitive_root, roots_of_unity, unit_group_order, vp
 from padlab.params import ParameterSet, f_exponents
 from padlab.report import CheckReport
-from padlab.spectrum import ResidueMultiset, act
+from padlab.spectrum import ResidueMultiset, act, build_S, j_balanced, stabilizer
 
 
 def stabilizer_brute_force(s: ResidueMultiset) -> int:
@@ -53,6 +54,88 @@ def lemma5_count_exact(ps: ParameterSet, s: int) -> int:
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
     return sum(vp(e_plus * u ** (e_plus - 1) + e_minus * u ** (e_minus - 1), ps.p) >= threshold for u in units)
+
+
+# The orbit checkers' reports from the full walk of S over all p - 1 unit
+# classes: the reference for spectrum's and lemma5_count's one-class route,
+# and the route on which theorem1's mu_d part is not true by construction.
+
+
+def theorem1_full_walk(ps: ParameterSet) -> CheckReport:
+    """theorem1_check's report, with S = build_S(ps) walked whole."""
+    s = build_S(ps)
+    roots = roots_of_unity(ps.d, ps.p, ps.M)
+    order = stabilizer(s)
+    failing = sorted(g for g in roots if pow(g, order, ps.p**ps.M) != 1)
+    return CheckReport(
+        name="theorem1",
+        inputs=ps.as_dict(),
+        holds=not failing,
+        lhs="g*S for all d-th roots g",
+        rhs="S",
+        modulus=(ps.p, ps.M),
+        details={
+            "roots_tested": len(roots),
+            "failing_roots": failing,
+            "support_size": len(s),
+            "total_multiplicity": s.total(),
+            "dropped_values": ps.p ** (ps.a + 1) - s.total(),
+        },
+    )
+
+
+def theorem3_full_walk(ps: ParameterSet) -> CheckReport:
+    """theorem3_check's report, with |Stab(S)| read off build_S(ps)."""
+    order = stabilizer(build_S(ps))
+    expected = ps.d * ps.p**ps.a if ps.v < ps.t else ps.d
+    pM = ps.p**ps.M
+    generator = pow(primitive_root(ps.p, ps.M), unit_group_order(ps.p, ps.M) // order, pM)
+    return CheckReport(
+        name="theorem3",
+        inputs=ps.as_dict(),
+        holds=order == expected,
+        lhs=str(order),
+        rhs=str(expected),
+        modulus=(ps.p, ps.M),
+        details={
+            "generator": generator,
+            "branch": "v<t" if ps.v < ps.t else "v=t",
+            "generator_is_nth_root": pow(generator, expected, pM) == 1,
+        },
+    )
+
+
+def balance_full_walk(ps: ParameterSet, j: int) -> CheckReport:
+    """balance_check's report, with S = build_S(ps) walked whole."""
+    s = build_S(ps)
+    balanced = j_balanced(s, j)
+    order = stabilizer(s)
+    divides = order % ps.p**j == 0
+    return CheckReport(
+        name="balance",
+        inputs={**ps.as_dict(), "j": j},
+        holds=balanced == divides,
+        lhs=str(balanced).lower(),
+        rhs=str(divides).lower(),
+        modulus=(ps.p, ps.M),
+        details={"balanced": balanced, "stabilizer_order": order},
+    )
+
+
+def lemma5_full_walk(ps: ParameterSet, s: int) -> CheckReport:
+    """lemma5_count's report, with the zeros of f' counted in every unit class."""
+    threshold = 2 * ps.a + 2 * ps.t + s + 1
+    count = sum(v == 0 for v in unit_values(ps, 1, range(1, ps.p), ps.p**threshold))
+    expected = ps.p ** (ps.a - s) * (ps.p - 1)
+    return CheckReport(
+        name="lemma5",
+        inputs={**ps.as_dict(), "s": s},
+        holds=count == expected,
+        lhs=str(count),
+        rhs=str(expected),
+        modulus=(ps.p, threshold),
+        details={"count": count, "expected": expected},
+    )
 
 
 def jsonify(v):

@@ -9,6 +9,10 @@ one PASS/FAIL line.  The grids:
   * strong grid: same shape over multiples of 2p^(2a+1) with (p-1) never
     dividing k.
 
+  * one-class grid: p in {3, 5, 7, 11, 13}, a, t <= 2, k = c * p^(2a+1+x)
+    for c in {1, 2, 3, 4, 6} and x <= 2 with vp(k) - 2a - 1 <= 2, and
+    p^(a+1) <= 3000: 621 distinct points.
+
 Criterion 6a maps the validity region of lemma1 on its grid.  The
 congruence misses by one valuation exactly where a = 1, (p-1) | r-2 and p
 does not divide r-1 (Faulhaber plus von Staudt-Clausen, derived in
@@ -28,9 +32,15 @@ from padlab.jet import corollary3_check, lemma4_check, lemma5_count
 from padlab.padic_core import unit_group_order, vp
 from padlab.params import ParameterSet
 from padlab.powersum import lemma1_check, lemma2_check
-from padlab.spectrum import build_S, stabilizer, theorem1_check, theorem3_check
+from padlab.spectrum import balance_check, build_S, stabilizer, theorem1_check, theorem3_check
 
-from oracles import stabilizer_brute_force
+from oracles import (
+    balance_full_walk,
+    lemma5_full_walk,
+    stabilizer_brute_force,
+    theorem1_full_walk,
+    theorem3_full_walk,
+)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "acceptance_sweep.json"
 
@@ -80,6 +90,19 @@ def strong_grid() -> list[ParameterSet]:
         for t in (0, 1)
         for k in smallest_multiples_per_gcd_class(p, a, base_factor=2, exclude_full=True)
     ]
+
+
+def one_class_grid() -> list[ParameterSet]:
+    points = {
+        (p, a, t, c * p ** (2 * a + 1 + x))
+        for p in (3, 5, 7, 11, 13)
+        for a in (0, 1, 2)
+        for t in (0, 1, 2)
+        for x in (0, 1, 2)
+        for c in (1, 2, 3, 4, 6)
+        if p ** (a + 1) <= 3000
+    }
+    return [ParameterSet(*pt) for pt in sorted(points) if vp(pt[3], pt[0]) - 2 * pt[1] - 1 <= 2]
 
 
 def _report(criterion: str, failures: list) -> None:
@@ -265,3 +288,25 @@ def test_criterion_7_sweep_determinism(tmp_path):
     same = bodies[0] == bodies[1]
     _report("7 sweep determinism", [] if same else ["bodies differ"])
     assert same
+
+
+def test_criterion_8_one_class_route_matches_the_full_walk():
+    # theorem1, theorem3, balance and lemma5 read class 1 alone and turn it
+    # by the Teichmüller roots; the full walk of all p - 1 classes is the
+    # independent route, on which theorem1's mu_d part is not true by
+    # construction, and every report must match it byte for byte
+    grid = one_class_grid()
+    failures = []
+    pairs = {"theorem1": 0, "theorem3": 0, "balance": 0, "lemma5": 0}
+    for ps in grid:
+        runs = [(theorem1_check(ps), theorem1_full_walk(ps)), (theorem3_check(ps), theorem3_full_walk(ps))]
+        runs += [(balance_check(ps, j), balance_full_walk(ps, j)) for j in range(1, ps.M)]
+        if ps.v == ps.t:
+            runs += [(lemma5_count(ps, s), lemma5_full_walk(ps, s)) for s in range(ps.a + 1)]
+        for fast, full in runs:
+            pairs[fast.name] += 1
+            if fast.to_json() != full.to_json():
+                failures.append((fast.name, fast.inputs))
+    _report("8 one-class route matches the full walk", failures)
+    assert not failures, failures[:10]
+    assert pairs == {"theorem1": 621, "theorem3": 621, "balance": 3450, "lemma5": 828}

@@ -704,20 +704,27 @@ class TestSweep:
         assert reports[-1]["details"]["sum_valuation"] == "46"
 
     def test_orbit_sweep_config(self):
-        # theorem1 and theorem3 over 101^3 - 101^2 = 1030200 units and lemma5
-        # over 31^3 - 31^2 units; the theorem3 and lemma5 pins were computed
-        # by the per-n loop that the class-difference walk replaced, and the
-        # theorem1 pins by one full scan of S per 50th root of unity, which
-        # reading the stabilizer replaced, so they come from another route
+        # theorem1 and theorem3 over 101^3 - 101^2 = 1030200 units, lemma5
+        # over 31^3 - 31^2 units and theorem3 over 101^4 - 101^3 =
+        # 103030100 units; the theorem3 and lemma5 pins at the first points
+        # were computed by the per-n loop that the class-difference walk
+        # replaced, and the theorem1 pins by one full scan of S per 50th
+        # root of unity, which reading the stabilizer replaced, so they come
+        # from another route.  The last pin, 50 = d * 1, is from the whole-
+        # multiset test act(u, S_1) == S_1 of u = 1 + p^(M-1), the element
+        # of order p in 1 + pZ: it fails, so Stab(S_1), a subgroup of the
+        # cyclic p-group 1 + pZ, is trivial, with no use of stabilizer
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "orbit_sweep.json").read_text())
         sweep = _sweep_file(sweep_config(raw))
-        assert sweep["summary"] == {"total": 5, "held": 5, "failed": 0, "errored": 0}
-        theorem1, theorem3, *lemma5 = sweep["reports"]
+        assert sweep["summary"] == {"total": 6, "held": 6, "failed": 0, "errored": 0}
+        theorem1, theorem3, *lemma5, wall = sweep["reports"]
         assert theorem1["holds"] is True
         details = theorem1["details"]
         assert (details["roots_tested"], details["failing_roots"], details["support_size"]) == ("50", [], "252550")
         assert (theorem3["lhs"], theorem3["rhs"]) == ("50", "50")
         assert [r["details"]["count"] for r in lemma5] == ["28830", "930", "30"]
+        assert (wall["inputs"]["a"], wall["inputs"]["M"]) == ("3", "11")
+        assert (wall["lhs"], wall["rhs"]) == ("50", "50")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):

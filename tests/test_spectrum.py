@@ -89,23 +89,22 @@ class TestBuildS:
 
         monkeypatch.setattr(jet_module, "derivative_values", spy)
         rep = theorem1_check(ps)
-        # the walk evaluates f only at the first min(p^a, D + 1) units of each class
+        # the walk evaluates f only at the first min(p^a, D + 1) units of
+        # class 1, which the Teichmüller roots turn into the other classes
         head = min(ps.p**ps.a, jet_module.degree_bound(ps, 0, ps.p**ps.M) + 1)
-        assert len(seen) == (ps.p - 1) * head
-        assert all(n % ps.p for n in seen)
+        assert seen == [1 + ps.p * q for q in range(head)]
         assert rep.details["dropped_values"] == ps.p**ps.a
         # lemma5 walks the same units of f'; k * p^t makes v = t, which it requires
         seen.clear()
         ps5 = ParameterSet(ps.p, ps.a, ps.t, ps.k * ps.p**ps.t)
         lemma5_count(ps5, 0)
         head = min(ps.p**ps.a, jet_module.degree_bound(ps5, 1, ps.p ** (2 * ps.a + 2 * ps.t + 1)) + 1)
-        assert len(seen) == (ps.p - 1) * head
-        assert all(n % ps.p for n in seen)
+        assert seen == [1 + ps.p * q for q in range(head)]
 
     def test_class_walk_evaluates_d_plus_one_rows(self, monkeypatch):
         # an orbit-wall point with 13^4 - 13^3 = 26364 units: a lazy spy
         # records the n that unit_values draws, in the order drawn, so it
-        # sees each class's D + 1 head rows and that the classes come whole
+        # sees the D + 1 head rows of class 1, the one class theorem3 walks
         ps = ParameterSet(13, 3, 0, 13**7 * 67)
         drawn = []
         real = jet_module.derivative_values
@@ -118,7 +117,7 @@ class TestBuildS:
         bound = jet_module.degree_bound(ps, 0, ps.p**ps.M)
         assert rep.holds and rep.lhs == rep.rhs == "12"
         assert bound < ps.p**ps.a
-        assert drawn == [r + ps.p * q for r in range(1, ps.p) for q in range(bound + 1)]
+        assert drawn == [1 + ps.p * q for q in range(bound + 1)]
 
     def test_restricted_example(self):
         assert build_S_x(PS, 2).counts == {23: 1}
@@ -190,31 +189,21 @@ class TestTheorem1:
     def test_minimal_k(self):
         assert theorem1_check(ParameterSet(5, 0, 0, 5)).holds
 
-    def test_reports_the_roots_that_move_S(self, monkeypatch):
-        # Stab({1, -1}) = {1, -1} mod 5^5, so of the four 4th roots of unity
-        # the two of order 4 fail; [1068, 2057] is the brute-force list of
-        # the roots g with act(g, s) != s
-        s = ResidueMultiset(5, 5, {1: 1, 3124: 1})
-        assert [g for g in roots_of_unity(4, 5, 5) if act(g, s) != s] == [1068, 2057]
-        monkeypatch.setattr(spectrum_module, "build_S", lambda ps: s)
-        rep = theorem1_check(ParameterSet(5, 1, 0, 125))
-        assert not rep.holds
-        assert rep.details["failing_roots"] == [1068, 2057]
-        assert rep.details["roots_tested"] == 4
-
     @pytest.mark.parametrize(
         "args, passing",
         [
-            # |Stab| = 12 = 2^2 * 3, d = 12: the elements of order 4 and 3 pass
-            ((13, 3, 0, 13**7 * 67), 2),
-            # |Stab| = 21 = 3 * 7, d = 3: the elements of order 3 and 7 pass
-            ((7, 1, 1, 686), 2),
+            # |Stab(S)| = 12 = d: Stab(S_1) is trivial and its level sizes
+            # have gcd 1, so S_1 is not scanned at all
+            ((13, 3, 0, 13**7 * 67), 0),
+            # |Stab(S)| = 21 = 3 * 7, d = 3: the element of order 7 fixes S_1
+            ((7, 1, 1, 686), 1),
         ],
     )
     def test_scans_S_once_per_prime_of_stab(self, monkeypatch, args, passing):
-        # theorem1 reads the stabilizer, whose level-size bound is |Stab(S)|
-        # here: it scans S once per prime of |Stab(S)|, from that prime's
-        # top power, and every scan passes; not once per d-th root of unity
+        # theorem1 reads d times the stabilizer of S_1, the values on class
+        # 1, whose level-size bound is |Stab(S_1)| here: it scans S_1 once
+        # per prime of |Stab(S_1)|, from that prime's top power, and every
+        # scan passes; not once per d-th root of unity
         real = spectrum_module._stabilizes
         results = []
 
@@ -435,14 +424,18 @@ class TestTheorem3:
 
     @pytest.mark.parametrize("order, is_root", [(1, True), (4, False)])
     def test_reports_an_unexpected_order(self, monkeypatch, order, is_root):
-        # at PS the expected order is 2 and n0 = 20; a stabilizer of another
-        # order fails the check, and its generator, of that order, is reported
-        # all the same (order 1: the generator "1", a square root of unity)
+        # theorem3 reads d times the stabilizer of S_1; at (5, 1, 1, 500)
+        # d = 1, the expected order is d*p^a = 5 and n0 = 12500, so the
+        # injected order is the one checked; another order than 5 fails the
+        # check, and its generator, of that order, is reported all the same
+        # (order 1: the generator "1", a 5th root of unity)
+        ps = ParameterSet(5, 1, 1, 500)
+        assert (ps.d, ps.v, ps.M) == (1, 0, 6)
         monkeypatch.setattr(spectrum_module, "stabilizer", lambda s: order)
-        rep = theorem3_check(PS)
+        rep = theorem3_check(ps)
         generator = int(rep.to_json_dict()["details"]["generator"])
-        assert not rep.holds and (rep.lhs, rep.rhs) == (str(order), "2")
-        assert element_order(generator, *M25) == order
+        assert not rep.holds and (rep.lhs, rep.rhs) == (str(order), "5")
+        assert element_order(generator, 5, 6) == order
         assert rep.details["generator_is_nth_root"] == is_root
 
 
@@ -514,10 +507,10 @@ class TestBalance:
         assert rep.details == {"balanced": False, "stabilizer_order": 20}
 
     def test_invalid_j_is_rejected_before_S_is_built(self, monkeypatch):
-        def build_S(ps):
-            raise AssertionError("build_S ran for an invalid j")
+        def build_S_x(ps, x):
+            raise AssertionError("S_1 was built for an invalid j")
 
-        monkeypatch.setattr(spectrum_module, "build_S", build_S)
+        monkeypatch.setattr(spectrum_module, "build_S_x", build_S_x)
         ps = ParameterSet(31, 2, 0, 2 * 31**5)
         for j in (0, ps.M):
             with pytest.raises(ValueError, match=rf"^j must satisfy 1 <= j < M = {ps.M}, got {j}$"):
