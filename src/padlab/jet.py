@@ -13,9 +13,9 @@ residue classes are minima over the class, so saturation is the honest
 answer).  On top sit the valuation claim matrix for f^(m), the first-order
 Taylor truncation check and the count of near-critical points of f'.
 
-unit_values walks the units n = r + p*q <= p^(a+1) of given classes r mod
-p.  With x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N on class
-r is the polynomial in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i
+unit_values walks the units n = r + p*q <= p^(a+1) of one class r mod p.
+With x± = e± - m and B±_i = FF(e±, m) C(x±, i), f^(m) mod p^N on class r
+is the polynomial in q with coefficients c_i(r) = p^i r^(x- - i) (B+_i
 r^δ + B-_i), δ = x+ - x-, of degree exactly degree_bound's D in every
 class: the largest i < N with p^(N-i) ∤ B+_i + B-_i, or 0.  Proof: r = ω +
 p*s, ω the Teichmüller lift of r mod p (Washington, Introduction to
@@ -40,7 +40,7 @@ S_1, and lemma5's count is p - 1 times its count on class 1.
 """
 
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb, perm
 
 from .padic_core import vp
@@ -79,18 +79,16 @@ def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
     return 0
 
 
-def unit_values(ps: ParameterSet, m: int, classes: range | tuple[int, ...], modulus: int) -> Iterator[int]:
-    """f^(m)(n) mod modulus at the units n = r + p*q <= p^(a+1) whose class
-    r mod p is in classes (1 <= r < p): class by class, each in increasing n.
+def unit_values(ps: ParameterSet, m: int, r: int, modulus: int) -> Iterator[int]:
+    """f^(m)(n) mod modulus at the units n = r + p*q <= p^(a+1) of the one
+    class r mod p (1 <= r < p), in increasing n.
 
-    modulus must be a power of p.  Each class's first min(p^a, D+1) rows
-    come from derivative_values, the rest from its difference table."""
+    modulus must be a power of p.  The first min(p^a, D+1) rows come from
+    derivative_values, the rest from the class's difference table."""
     rows = ps.p**ps.a
     head = min(rows, degree_bound(ps, m, modulus) + 1)
-    values = derivative_values(ps, m, (r + ps.p * q for r in classes for q in range(head)), modulus)
-    if head == rows:
-        return values
-    return chain.from_iterable(_stepped(list(islice(values, head)), rows, modulus) for _ in classes)
+    values = derivative_values(ps, m, range(r, r + ps.p * head, ps.p), modulus)
+    return values if head == rows else _stepped(list(values), rows, modulus)
 
 
 def _stepped(head: list[int], rows: int, modulus: int) -> Iterator[int]:
@@ -217,7 +215,7 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     # vp(f'(u)) >= threshold exactly when f'(u) ≡ 0 mod p^threshold
-    count = (ps.p - 1) * sum(v == 0 for v in unit_values(ps, 1, (1,), ps.p**threshold))
+    count = (ps.p - 1) * sum(v == 0 for v in unit_values(ps, 1, 1, ps.p**threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

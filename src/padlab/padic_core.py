@@ -44,14 +44,6 @@ def unit_group_order(p: int, M: int) -> int:
     return p ** (M - 1) * (p - 1)
 
 
-def unit_group_factors(p: int, M: int) -> dict[int, int]:
-    """unit_group_order(p, M) factorised, as {prime: exponent}."""
-    factors = factorize(p - 1)
-    if M > 1:
-        factors[p] = M - 1
-    return factors
-
-
 def reduce_rational(q: Fraction | int, p: int, M: int) -> int:
     """Reduce a p-integral rational mod p^M, into [0, p^M).
 
@@ -97,7 +89,7 @@ def element_order(g: int, p: int, M: int) -> int:
     if g % p == 0:
         raise ValueError(f"non-invertible residue: {p} divides {g}")
     order = unit_group_order(p, M)
-    for q in unit_group_factors(p, M):
+    for q in factorize(order):
         while order % q == 0 and pow(g, order // q, p**M) == 1:
             order //= q
     return order

@@ -125,7 +125,7 @@ def balance_full_walk(ps: ParameterSet, j: int) -> CheckReport:
 def lemma5_full_walk(ps: ParameterSet, s: int) -> CheckReport:
     """lemma5_count's report, with the zeros of f' counted in every unit class."""
     threshold = 2 * ps.a + 2 * ps.t + s + 1
-    count = sum(v == 0 for v in unit_values(ps, 1, range(1, ps.p), ps.p**threshold))
+    count = sum(v == 0 for r in range(1, ps.p) for v in unit_values(ps, 1, r, ps.p**threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

@@ -29,10 +29,10 @@ from padlab.bernoulli import prewarm, von_staudt_clausen_check
 from padlab.cli import canonical_body, main
 from padlab.congruence_suite import corollary2_check, kummer_check, theorem2_check
 from padlab.jet import corollary3_check, lemma4_check, lemma5_count
-from padlab.padic_core import unit_group_order, vp
+from padlab.padic_core import roots_of_unity, unit_group_order, vp
 from padlab.params import ParameterSet
 from padlab.powersum import lemma1_check, lemma2_check
-from padlab.spectrum import balance_check, build_S, stabilizer, theorem1_check, theorem3_check
+from padlab.spectrum import act, balance_check, build_S, stabilizer, theorem1_check, theorem3_check
 
 from oracles import (
     balance_full_walk,
@@ -111,9 +111,18 @@ def _report(criterion: str, failures: list) -> None:
 
 
 def test_criterion_1_theorem1_suite():
+    # theorem1_check holds by construction, so here every d-th root g must
+    # fix the full walk of S, and the report must equal the full walk's
     grid = theorem1_grid()
     assert len(grid) == 56
-    failures = [ps.as_dict() for ps in grid if not theorem1_check(ps).holds]
+    failures = []
+    for ps in grid:
+        s = build_S(ps)
+        moved = [g for g in roots_of_unity(ps.d, ps.p, ps.M) if act(g, s) != s]
+        if moved:
+            failures.append(("moved", ps.as_dict(), moved))
+        if theorem1_check(ps).to_json() != theorem1_full_walk(ps).to_json():
+            failures.append(("oracle-mismatch", ps.as_dict()))
     _report("1 theorem1 multiset stability", failures)
     assert not failures, failures
 

@@ -12,7 +12,6 @@ from padlab.padic_core import (
     primitive_root,
     reduce_rational,
     roots_of_unity,
-    unit_group_factors,
     unit_group_order,
     vp,
     vp_rational,
@@ -189,14 +188,6 @@ class TestFactorize:
         for n in (0, -6):
             with pytest.raises(ValueError, match="factorize expects a positive integer"):
                 factorize(n)
-
-    @pytest.mark.parametrize("m", [M5, M125, (7, 3), (13, 2)])
-    def test_unit_group_factors(self, m):
-        acc = 1
-        for q, e in unit_group_factors(*m).items():
-            assert factorize(q) == {q: 1}
-            acc *= q**e
-        assert acc == unit_group_order(*m)
 
 
 @pytest.fixture(scope="module")

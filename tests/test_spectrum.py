@@ -189,33 +189,6 @@ class TestTheorem1:
     def test_minimal_k(self):
         assert theorem1_check(ParameterSet(5, 0, 0, 5)).holds
 
-    @pytest.mark.parametrize(
-        "args, passing",
-        [
-            # |Stab(S)| = 12 = d: Stab(S_1) is trivial and its level sizes
-            # have gcd 1, so S_1 is not scanned at all
-            ((13, 3, 0, 13**7 * 67), 0),
-            # |Stab(S)| = 21 = 3 * 7, d = 3: the element of order 7 fixes S_1
-            ((7, 1, 1, 686), 1),
-        ],
-    )
-    def test_scans_S_once_per_prime_of_stab(self, monkeypatch, args, passing):
-        # theorem1 reads d times the stabilizer of S_1, the values on class
-        # 1, whose level-size bound is |Stab(S_1)| here: it scans S_1 once
-        # per prime of |Stab(S_1)|, from that prime's top power, and every
-        # scan passes; not once per d-th root of unity
-        real = spectrum_module._stabilizes
-        results = []
-
-        def spy(gval, s):
-            results.append(real(gval, s))
-            return results[-1]
-
-        monkeypatch.setattr(spectrum_module, "_stabilizes", spy)
-        assert theorem1_check(ParameterSet(*args)).holds
-        assert results.count(True) == passing
-        assert results.count(False) == 0
-
 
 class TestTransport:
     def test_trivial(self):
@@ -395,6 +368,33 @@ class TestTheorem3:
         assert ps.v == ps.t == 1
         rep = theorem3_check(ps)
         assert rep.holds and rep.rhs == "4"
+
+    @pytest.mark.parametrize(
+        "args, passing",
+        [
+            # |Stab(S)| = 12 = d: Stab(S_1) is trivial and its level sizes
+            # have gcd 1, so S_1 is not scanned at all
+            ((13, 3, 0, 13**7 * 67), 0),
+            # |Stab(S)| = 21 = 3 * 7, d = 3: the element of order 7 fixes S_1
+            ((7, 1, 1, 686), 1),
+        ],
+    )
+    def test_scans_S_once_per_prime_of_stab(self, monkeypatch, args, passing):
+        # theorem3 reads d times the stabilizer of S_1, the values on class
+        # 1, whose level-size bound is |Stab(S_1)| here: it scans S_1 once
+        # per prime of |Stab(S_1)|, from that prime's top power, and every
+        # scan passes, so the descent never steps down
+        real = spectrum_module._stabilizes
+        results = []
+
+        def spy(gval, s):
+            results.append(real(gval, s))
+            return results[-1]
+
+        monkeypatch.setattr(spectrum_module, "_stabilizes", spy)
+        assert theorem3_check(ParameterSet(*args)).holds
+        assert results.count(True) == passing
+        assert results.count(False) == 0
 
     def test_mu_d_contained(self):
         # the theorem1 containment restated at stabilizer level
