@@ -23,7 +23,7 @@ mod p^K with K doubled until the sum is nonzero.
 
 from .bernoulli import bernoulli
 from .padic_core import is_odd_prime, is_prime, vp
-from .params import ParameterSet, f_exponents
+from .params import ParameterSet
 from .powersum import power_sum_mod
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
@@ -39,7 +39,7 @@ def theorem2_check(ps: ParameterSet, r: int) -> CheckReport:
     window = exponent + MARGIN_WINDOW
     n_max = ps.p ** (ps.a + 1)
     sum_r = power_sum_mod(n_max, (ps.k + shift * r) * ps.p**ps.t, ps.p, window)
-    sum_1 = power_sum_mod(n_max, f_exponents(ps)[0], ps.p, window)
+    sum_1 = power_sum_mod(n_max, ps.e_plus, ps.p, window)
     return congruence_report("theorem2", {**ps.as_dict(), "r": r}, sum_r, r * sum_1, ps.p, exponent)
 
 
@@ -132,7 +132,7 @@ def case2_check(ps: ParameterSet, b: int) -> CheckReport:
     ps.check_strong()
     shift = ps.p**ps.a * (ps.p - 1)
     index_b = (ps.k + b * shift) * ps.p**ps.t
-    index_1 = f_exponents(ps)[0]
+    index_1 = ps.e_plus
     # check_strong makes both indices even and ≡ k ≢ 0 mod p-1, and index_1 > 0
     if index_b < 2:
         raise ValueError(f"Bernoulli index {index_b} must be even and positive")
@@ -155,9 +155,8 @@ def case3_branch_check(ps: ParameterSet) -> CheckReport:
     exponent = 3 * ps.a + ps.t + 2
     window = exponent + MARGIN_WINDOW
     n_max = ps.p ** (ps.a + 1)
-    e_plus = f_exponents(ps)[0]  # (k+p^a(p-1))p^t, and t >= 1
-    sum_t = power_sum_mod(n_max, e_plus, ps.p, window)
-    sum_t1 = power_sum_mod(n_max, e_plus // ps.p, ps.p, window)
+    sum_t = power_sum_mod(n_max, ps.e_plus, ps.p, window)
+    sum_t1 = power_sum_mod(n_max, ps.e_plus // ps.p, ps.p, window)  # t >= 1
     return congruence_report("case3", ps.as_dict(), sum_t, ps.p * sum_t1, ps.p, exponent)
 
 

@@ -44,7 +44,7 @@ from itertools import accumulate, islice, repeat
 from math import comb, perm
 
 from .padic_core import vp
-from .params import ParameterSet, f_exponents
+from .params import ParameterSet
 from .report import MARGIN_WINDOW, CheckReport, congruence_report
 
 
@@ -53,7 +53,7 @@ def _terms(ps: ParameterSet, m: int) -> list[tuple[int, int]]:
     and the exponent is clamped at 0, not branched on."""
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
-    return [(perm(e, m), max(e - m, 0)) for e in f_exponents(ps)]
+    return [(perm(e, m), max(e - m, 0)) for e in (ps.e_plus, ps.e_minus)]
 
 
 def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int) -> Iterator[int]:
@@ -66,27 +66,23 @@ def derivative_values(ps: ParameterSet, m: int, ns: Iterable[int], modulus: int)
     return ((c_plus * pow(n, x_plus, modulus) + c_minus * pow(n, x_minus, modulus)) % modulus for n in ns)
 
 
-def degree_bound(ps: ParameterSet, m: int, modulus: int) -> int:
-    """The degree D in q of f^(m)(r + p*q) mod modulus = p^N, exact in every unit class r (proof above)."""
-    p = ps.p
-    n_exp = vp(modulus, p)
-    if p**n_exp != modulus:
-        raise ValueError(f"modulus {modulus} is not a power of p = {p}")
+def degree_bound(ps: ParameterSet, m: int, n_exp: int) -> int:
+    """The degree D in q of f^(m)(r + p*q) mod p^n_exp, exact in every unit class r (proof above)."""
     (b_plus, x_plus), (b_minus, x_minus) = _terms(ps, m)
     for i in range(n_exp - 1, 0, -1):
-        if (b_plus * comb(x_plus, i) + b_minus * comb(x_minus, i)) % p ** (n_exp - i):
+        if (b_plus * comb(x_plus, i) + b_minus * comb(x_minus, i)) % ps.p ** (n_exp - i):
             return i
     return 0
 
 
-def unit_values(ps: ParameterSet, m: int, r: int, modulus: int) -> Iterator[int]:
-    """f^(m)(n) mod modulus at the units n = r + p*q <= p^(a+1) of the one
+def unit_values(ps: ParameterSet, m: int, r: int, n_exp: int) -> Iterator[int]:
+    """f^(m)(n) mod p^n_exp at the units n = r + p*q <= p^(a+1) of the one
     class r mod p (1 <= r < p), in increasing n.
 
-    modulus must be a power of p.  The first min(p^a, D+1) rows come from
-    derivative_values, the rest from the class's difference table."""
-    rows = ps.p**ps.a
-    head = min(rows, degree_bound(ps, m, modulus) + 1)
+    The first min(p^a, D+1) rows come from derivative_values, the rest
+    from the class's difference table."""
+    rows, modulus = ps.p**ps.a, ps.p**n_exp
+    head = min(rows, degree_bound(ps, m, n_exp) + 1)
     values = derivative_values(ps, m, range(r, r + ps.p * head, ps.p), modulus)
     return values if head == rows else _stepped(list(values), rows, modulus)
 
@@ -215,7 +211,7 @@ def lemma5_count(ps: ParameterSet, s: int) -> CheckReport:
 
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     # vp(f'(u)) >= threshold exactly when f'(u) ≡ 0 mod p^threshold
-    count = (ps.p - 1) * sum(v == 0 for v in unit_values(ps, 1, 1, ps.p**threshold))
+    count = (ps.p - 1) * sum(v == 0 for v in unit_values(ps, 1, 1, threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

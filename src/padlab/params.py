@@ -9,10 +9,10 @@ checkers test first with check_strong.  Derived fields:
     v      = min(vp(k) - 2a - 1, t)
     M      = 3a + t + v + 2          (the working modulus exponent)
     kprime = k / p^vp(k)             (the prime-to-p part of k)
+    e_plus, e_minus = (k ± p^a(p-1))p^t   (f(n) = n^e+ + n^e-; both > 0, as p^(2a+1) | k)
 
 A ParameterSet is immutable, and equal to and hashed like any other with
-the same (p, a, t, k).  The exponent pair of
-f(n) = n^((k+p^a(p-1))p^t) + n^((k-p^a(p-1))p^t) comes from f_exponents.
+the same (p, a, t, k).
 """
 
 from math import gcd
@@ -37,7 +37,9 @@ class ParameterSet(Record):
         vk = vp(k, p)
         v = min(vk - 2 * a - 1, t)
         d, M, kprime = (p - 1) // gcd(k, p - 1), 3 * a + t + v + 2, k // p**vk
-        vars(self).update(p=p, a=a, t=t, k=k, d=d, v=v, M=M, kprime=kprime)
+        shift = p**a * (p - 1)
+        e_plus, e_minus = (k + shift) * p**t, (k - shift) * p**t
+        vars(self).update(p=p, a=a, t=t, k=k, d=d, v=v, M=M, kprime=kprime, e_plus=e_plus, e_minus=e_minus)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"ParameterSet is immutable: cannot set {name!r}")
@@ -67,11 +69,3 @@ class ParameterSet(Record):
         if self.k % (self.p - 1) == 0:
             raise ValueError(f"k = {self.k} must not be divisible by p-1 = {self.p - 1}")
 
-
-def f_exponents(ps: ParameterSet) -> tuple[int, int]:
-    """The exponent pair ((k + p^a(p-1))p^t, (k - p^a(p-1))p^t).
-
-    Both are positive: p^(2a+1) | k forces k > p^a(p-1).
-    """
-    shift = ps.p**ps.a * (ps.p - 1)
-    return (ps.k + shift) * ps.p**ps.t, (ps.k - shift) * ps.p**ps.t

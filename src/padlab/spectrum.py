@@ -60,15 +60,15 @@ class ResidueMultiset(Record):
 def build_S(ps: ParameterSet) -> ResidueMultiset:
     """The multiset of f(n) mod p^M over the units n <= p^(a+1), all p - 1
     classes: p^(a+1) - p^a values, invertible as f(n) ≡ 2n^(kp^t) mod p."""
-    walks = (unit_values(ps, 0, r, ps.p**ps.M) for r in range(1, ps.p))
-    return ResidueMultiset(ps.p, ps.M, dict(Counter(chain.from_iterable(walks))))
+    walks = (unit_values(ps, 0, r, ps.M) for r in range(1, ps.p))
+    return ResidueMultiset(ps.p, ps.M, Counter(chain.from_iterable(walks)))
 
 
 def build_S_x(ps: ParameterSet, x: int) -> ResidueMultiset:
     """As build_S but over the one class n ≡ x (mod p); total multiplicity p^a."""
     if x % ps.p == 0:
         raise ValueError(f"x = {x} must be invertible mod p = {ps.p}")
-    return ResidueMultiset(ps.p, ps.M, dict(Counter(unit_values(ps, 0, x % ps.p, ps.p**ps.M))))
+    return ResidueMultiset(ps.p, ps.M, Counter(unit_values(ps, 0, x % ps.p, ps.M)))
 
 
 def act(g: int, s: ResidueMultiset) -> ResidueMultiset:
@@ -144,7 +144,7 @@ def transport_check(ps: ParameterSet, g: int, xprime: int, n: int) -> CheckRepor
 
 def corollary1_check(ps: ParameterSet, x: int, mu: int) -> CheckReport:
     """Check S_x = S_y for y = x*mu, mu a gcd(k,p-1)-th root of unity mod p."""
-    gk = gcd(ps.k, ps.p - 1)
+    gk = (ps.p - 1) // ps.d
     if pow(mu, gk, ps.p) != 1:
         raise ValueError(f"mu = {mu} is not a {gk}-th root of unity mod {ps.p}")
     y = x * mu % ps.p

@@ -4,7 +4,7 @@ from collections import Counter
 
 from padlab.jet import unit_values
 from padlab.padic_core import primitive_root, roots_of_unity, unit_group_order, vp
-from padlab.params import ParameterSet, f_exponents
+from padlab.params import ParameterSet
 from padlab.report import CheckReport
 from padlab.spectrum import ResidueMultiset, act, build_S, j_balanced, stabilizer
 
@@ -41,7 +41,7 @@ def f_multiset_exact(ps: ParameterSet, ns: range) -> Counter:
     """The invertible values f(n) mod p^M over n in ns, with multiplicity,
     from exact integer powers; the reference for build_S and build_S_x at
     exponents small enough to expand."""
-    e_plus, e_minus = f_exponents(ps)
+    e_plus, e_minus = ps.e_plus, ps.e_minus
     values = ((n**e_plus + n**e_minus) % ps.p**ps.M for n in ns)
     return Counter(v for v in values if v % ps.p)
 
@@ -50,7 +50,7 @@ def lemma5_count_exact(ps: ParameterSet, s: int) -> int:
     """The units u <= p^(a+1) with vp(f'(u)) >= 2a+2t+s+1, counted from the
     exact integer f'(u) (positive, so its valuation is finite); the
     reference for lemma5_count's count of zeros mod p^(2a+2t+s+1)."""
-    e_plus, e_minus = f_exponents(ps)
+    e_plus, e_minus = ps.e_plus, ps.e_minus
     threshold = 2 * ps.a + 2 * ps.t + s + 1
     units = (u for u in range(1, ps.p ** (ps.a + 1) + 1) if u % ps.p)
     return sum(vp(e_plus * u ** (e_plus - 1) + e_minus * u ** (e_minus - 1), ps.p) >= threshold for u in units)
@@ -125,7 +125,7 @@ def balance_full_walk(ps: ParameterSet, j: int) -> CheckReport:
 def lemma5_full_walk(ps: ParameterSet, s: int) -> CheckReport:
     """lemma5_count's report, with the zeros of f' counted in every unit class."""
     threshold = 2 * ps.a + 2 * ps.t + s + 1
-    count = sum(v == 0 for r in range(1, ps.p) for v in unit_values(ps, 1, r, ps.p**threshold))
+    count = sum(v == 0 for r in range(1, ps.p) for v in unit_values(ps, 1, r, threshold))
     expected = ps.p ** (ps.a - s) * (ps.p - 1)
     return CheckReport(
         name="lemma5",

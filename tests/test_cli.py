@@ -713,11 +713,14 @@ class TestSweep:
         # from another route.  The last pin, 50 = d * 1, is from the whole-
         # multiset test act(u, S_1) == S_1 of u = 1 + p^(M-1), the element
         # of order p in 1 + pZ: it fails, so Stab(S_1), a subgroup of the
-        # cyclic p-group 1 + pZ, is trivial, with no use of stabilizer
+        # cyclic p-group 1 + pZ, is trivial, with no use of stabilizer.  The
+        # v = 0 < t = 1 point after it has 101^3 - 101^2 units and M = 9; its
+        # theorem3 and balance pins are the reports of oracles.theorem3_full_walk
+        # and oracles.balance_full_walk, which walk all 100 classes of S whole
         raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "orbit_sweep.json").read_text())
         sweep = _sweep_file(sweep_config(raw))
-        assert sweep["summary"] == {"total": 6, "held": 6, "failed": 0, "errored": 0}
-        theorem1, theorem3, *lemma5, wall = sweep["reports"]
+        assert sweep["summary"] == {"total": 9, "held": 9, "failed": 0, "errored": 0}
+        theorem1, theorem3, *lemma5, wall, theorem3_vt, balance2, balance3 = sweep["reports"]
         assert theorem1["holds"] is True
         details = theorem1["details"]
         assert (details["roots_tested"], details["failing_roots"], details["support_size"]) == ("50", [], "252550")
@@ -725,6 +728,12 @@ class TestSweep:
         assert [r["details"]["count"] for r in lemma5] == ["28830", "930", "30"]
         assert (wall["inputs"]["a"], wall["inputs"]["M"]) == ("3", "11")
         assert (wall["lhs"], wall["rhs"]) == ("50", "50")
+        assert (theorem3_vt["inputs"]["t"], theorem3_vt["inputs"]["v"], theorem3_vt["details"]["branch"]) == ("1", "0", "v<t")
+        assert (theorem3_vt["lhs"], theorem3_vt["rhs"]) == ("510050", "510050")
+        assert [(r["inputs"]["j"], r["lhs"], r["rhs"], r["details"]["stabilizer_order"]) for r in (balance2, balance3)] == [
+            ("2", "true", "true", "510050"),
+            ("3", "false", "false", "510050"),
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown checker"):

@@ -11,7 +11,7 @@ from padlab.congruence_suite import (
     theorem2_check,
 )
 from padlab.padic_core import vp
-from padlab.params import ParameterSet, f_exponents
+from padlab.params import ParameterSet
 from padlab.powersum import power_sum_mod
 from padlab.report import MARGIN_WINDOW
 
@@ -34,18 +34,17 @@ def strong_params(draw):
 
 # theorem2 at r = 1 compares one power sum with itself, and case2 at b = 1
 # one Bernoulli product with itself, each side with its own statement of
-# e+ = (k + p^a(p-1))p^t: a copy that drifted from f_exponents breaks the
+# e+ = (k + p^a(p-1))p^t: a copy that drifted from ps.e_plus breaks the
 # saturated margin
 @settings(max_examples=40, deadline=None)
 @given(strong_params())
 def test_same_exponent_identities_saturate(ps):
     rep = theorem2_check(ps, 1)
     assert (rep.holds, rep.margin) == (True, MARGIN_WINDOW)
-    e_plus = f_exponents(ps)[0]
-    if e_plus <= 1400:  # larger Bernoulli indices take seconds to tabulate
+    if ps.e_plus <= 1400:  # larger Bernoulli indices take seconds to tabulate
         rep = case2_check(ps, 1)
         assert (rep.holds, rep.margin) == (True, MARGIN_WINDOW)
-        assert rep.details["index_lhs"] == rep.details["index_rhs"] == e_plus
+        assert rep.details["index_lhs"] == rep.details["index_rhs"] == ps.e_plus
 
 
 class TestTheorem2:

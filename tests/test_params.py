@@ -7,7 +7,7 @@ from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 
 from padlab.congruence_suite import case2_check, case3_branch_check, theorem2_check
-from padlab.params import ParameterSet, f_exponents
+from padlab.params import ParameterSet
 
 
 class TestMakeParams:
@@ -67,7 +67,7 @@ class TestValueSemantics:
             back.k = 5
 
     def test_repr_names_every_field(self):
-        assert repr(ParameterSet(5, 0, 0, 10)) == "ParameterSet(p=5, a=0, t=0, k=10, d=2, v=0, M=2, kprime=2)"
+        assert repr(ParameterSet(5, 0, 0, 10)) == "ParameterSet(p=5, a=0, t=0, k=10, d=2, v=0, M=2, kprime=2, e_plus=14, e_minus=6)"
 
 
 class TestStrongParams:
@@ -108,7 +108,8 @@ class TestFExponents:
         ],
     )
     def test_examples(self, ps_args, expected):
-        assert f_exponents(ParameterSet(*ps_args)) == expected
+        ps = ParameterSet(*ps_args)
+        assert (ps.e_plus, ps.e_minus) == expected
 
 
 @st.composite
@@ -132,20 +133,18 @@ class TestDerivedInvariants:
         assert gcd(ps.kprime, ps.p - 1) == gcd(ps.k, ps.p - 1)
 
     @given(valid_params())
-    def test_f_exponents_positive(self, ps):
-        e_plus, e_minus = f_exponents(ps)
-        assert e_plus > 0 and e_minus > 0
+    def test_exponents_positive(self, ps):
+        assert ps.e_plus > 0 and ps.e_minus > 0
 
-    def test_f_exponents_bound_under_strong_hypotheses(self):
+    def test_exponents_bound_under_strong_hypotheses(self):
         # both exponents clear 2p^(a+t) once 2p^(2a+1) | k; the minimal
         # plain k = p^(2a+1) at a = 0 gives e_minus = p^t below that bound
         for p, a, t in [(5, 0, 0), (5, 1, 1), (7, 0, 1), (7, 1, 0)]:
             sps = ParameterSet(p, a, t, 2 * p ** (2 * a + 1))
             sps.check_strong()
-            e_plus, e_minus = f_exponents(sps)
-            assert min(e_plus, e_minus) >= 2 * p ** (a + t)
+            assert min(sps.e_plus, sps.e_minus) >= 2 * p ** (a + t)
         weak = ParameterSet(5, 0, 1, 5)
-        assert min(f_exponents(weak)) == 5 < 2 * 5
+        assert min(weak.e_plus, weak.e_minus) == 5 < 2 * 5
 
     @given(valid_params(), st.integers(min_value=-100, max_value=100))
     def test_strong_hypotheses_make_case2_indices_valid(self, ps, b):

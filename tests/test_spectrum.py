@@ -91,14 +91,14 @@ class TestBuildS:
         rep = theorem1_check(ps)
         # the walk evaluates f only at the first min(p^a, D + 1) units of
         # class 1, which the Teichmüller roots turn into the other classes
-        head = min(ps.p**ps.a, jet_module.degree_bound(ps, 0, ps.p**ps.M) + 1)
+        head = min(ps.p**ps.a, jet_module.degree_bound(ps, 0, ps.M) + 1)
         assert seen == [1 + ps.p * q for q in range(head)]
         assert rep.details["dropped_values"] == ps.p**ps.a
         # lemma5 walks the same units of f'; k * p^t makes v = t, which it requires
         seen.clear()
         ps5 = ParameterSet(ps.p, ps.a, ps.t, ps.k * ps.p**ps.t)
         lemma5_count(ps5, 0)
-        head = min(ps.p**ps.a, jet_module.degree_bound(ps5, 1, ps.p ** (2 * ps.a + 2 * ps.t + 1)) + 1)
+        head = min(ps.p**ps.a, jet_module.degree_bound(ps5, 1, 2 * ps.a + 2 * ps.t + 1) + 1)
         assert seen == [1 + ps.p * q for q in range(head)]
 
     def test_class_walk_evaluates_d_plus_one_rows(self, monkeypatch):
@@ -114,7 +114,7 @@ class TestBuildS:
 
         monkeypatch.setattr(jet_module, "derivative_values", spy)
         rep = theorem3_check(ps)
-        bound = jet_module.degree_bound(ps, 0, ps.p**ps.M)
+        bound = jet_module.degree_bound(ps, 0, ps.M)
         assert rep.holds and rep.lhs == rep.rhs == "12"
         assert bound < ps.p**ps.a
         assert drawn == [1 + ps.p * q for q in range(bound + 1)]
@@ -145,6 +145,23 @@ class TestBuildS:
     def test_rejects_non_unit_class(self):
         with pytest.raises(ValueError, match="invertible"):
             build_S_x(PS, 10)
+
+    def test_each_class_is_class_one_turned(self):
+        # S_r = ω^e+ * S_1 for ω = r^(p^(M-1)), the Teichmüller lift of r
+        # mod p^M: the identity the one-class route and corollary1 rest on,
+        # stated on the multisets, class by class
+        pairs = 0
+        for p, a, t, c, x in itertools.product([3, 5, 7, 11, 13], range(3), range(3), range(1, 4), range(3)):
+            if p ** (a + 1) > 3000:
+                continue
+            ps = ParameterSet(p, a, t, c * p ** (2 * a + 1 + x))
+            pM = p**ps.M
+            s1 = build_S_x(ps, 1)
+            for r in range(1, p):
+                omega = pow(r, p ** (ps.M - 1), pM)
+                assert build_S_x(ps, r) == act(pow(omega, ps.e_plus, pM), s1), (ps, r)
+                pairs += 1
+        assert pairs == 2754
 
 
 class TestAct:
@@ -237,6 +254,10 @@ class TestCorollary1:
     def test_rejects_non_root_mu(self):
         with pytest.raises(ValueError, match="root of unity"):
             corollary1_check(PS, 1, 2)
+        # gcd(14, 6) = 2 and d = 3 differ: 2 has order 3 mod 7, a d-th root
+        # of unity that is not a gcd(k, p-1)-th one
+        with pytest.raises(ValueError, match=r"^mu = 2 is not a 2-th root of unity mod 7$"):
+            corollary1_check(ParameterSet(7, 0, 0, 14), 1, 2)
 
     def test_rejects_non_unit_x(self):
         with pytest.raises(ValueError, match=r"^x = 5 must be invertible mod p = 5$"):
