@@ -23,7 +23,7 @@ class BernoulliTable:
 
     B_2j costs O(j) int multiply-adds on the carried tangent-number column
     ``col[k-1] = tau(k, j)`` plus one Fraction, so staged growth costs what
-    one-shot growth does.  Reads are safe once grown; growth is single-writer.
+    one-shot growth does.  Each process grows its own table, lazily.
     """
 
     def __init__(self):
@@ -63,7 +63,7 @@ def bernoulli(n: int) -> Fraction:
 
 
 def prewarm(n: int) -> None:
-    """Grow the shared table up front (call before any parallel fan-out)."""
+    """Grow the table to B_n up front; it stays as perfbench/spans.py traces it."""
     _TABLE.grow(n)
 
 

@@ -77,20 +77,19 @@ def degree_bound(ps: ParameterSet, m: int, n_exp: int) -> int:
 
 def unit_values(ps: ParameterSet, m: int, r: int, n_exp: int) -> Iterator[int]:
     """f^(m)(n) mod p^n_exp at the units n = r + p*q <= p^(a+1) of the one
-    class r mod p (1 <= r < p), in increasing n.
-
-    The first min(p^a, D+1) rows come from derivative_values, the rest
-    from the class's difference table."""
+    class r mod p (1 <= r < p), in increasing n: the first min(p^a, D+1)
+    values from derivative_values, which _stepped extends to all p^a."""
     rows, modulus = ps.p**ps.a, ps.p**n_exp
     head = min(rows, degree_bound(ps, m, n_exp) + 1)
     values = derivative_values(ps, m, range(r, r + ps.p * head, ps.p), modulus)
-    return values if head == rows else _stepped(list(values), rows, modulus)
+    return _stepped(list(values), rows, modulus)
 
 
 def _stepped(head: list[int], rows: int, modulus: int) -> Iterator[int]:
     """g(q) mod modulus for 0 <= q < rows, where head = g(0), ..., g(D) of
     an integer polynomial g of degree <= D: the (D+1)-row difference table
-    at q = 0, each row the running sum of the row below it, in C."""
+    at q = 0, each row the running sum of the row below it, in C.  Rows
+    <= D + 1 give head's own first values, reduced."""
     diffs = [head[0]]
     while len(head) > 1:
         head = [y - x for x, y in zip(head, head[1:])]

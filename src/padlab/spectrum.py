@@ -20,7 +20,8 @@ n0 the unit group order), and balance_check verifies that j_balanced, the
 fiber-equidistribution diagnostic, agrees with the p-part of n, j by j.
 
 Two ResidueMultisets are equal when their moduli and multiplicities
-agree, which is corollary1's verdict on S_x = S_y.
+agree: corollary1's verdict on S_x = S_y, and what "g fixes s" means,
+act(g, s) == s.
 """
 
 from collections import Counter
@@ -77,17 +78,6 @@ def act(g: int, s: ResidueMultiset) -> ResidueMultiset:
         raise ValueError(f"non-invertible residue: {s.p} divides {g}")
     pM = s.p**s.M
     return ResidueMultiset(s.p, s.M, {(g * k) % pM: c for k, c in s.counts.items()})
-
-
-def _stabilizes(gval: int, s: ResidueMultiset) -> bool:
-    # g*S and S have equal totals and g acts injectively, so checking the
-    # counts of all images of the support decides multiset equality
-    pM = s.p**s.M
-    counts = s.counts
-    for key, c in counts.items():
-        if counts.get((gval * key) % pM, 0) != c:
-            return False
-    return True
 
 
 def theorem1_check(ps: ParameterSet) -> CheckReport:
@@ -166,8 +156,9 @@ def stabilizer(s: ResidueMultiset) -> int:
 
     Stab(s) maps each level of s (its keys of one multiplicity) to itself
     and acts on it freely, so |Stab(s)| divides the gcd of the level sizes.
-    The unit group is cyclic: its element of order q^j fixes s iff q^j
-    divides |Stab(s)|, so each q^e in that gcd is tried from j = e down.
+    The unit group is cyclic: its g of order q^j fixes s, act(g, s) == s,
+    iff q^j divides |Stab(s)|, so each q^e in that gcd is tried from j = e
+    down.  A scan cannot exit early; the level bound keeps failing ones rare.
     """
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
@@ -177,7 +168,7 @@ def stabilizer(s: ResidueMultiset) -> int:
     order = 1
     for q, e in factorize(gcd(n0, *Counter(s.counts.values()).values())).items():
         j = e
-        while j and not _stabilizes(pow(h, n0 // q**j, pM), s):
+        while j and act(pow(h, n0 // q**j, pM), s) != s:
             j -= 1
         order *= q**j
     return order

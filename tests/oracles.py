@@ -12,8 +12,9 @@ from padlab.spectrum import ResidueMultiset, act, build_S, j_balanced, stabilize
 def stabilizer_brute_force(s: ResidueMultiset) -> int:
     """|Stab(s)| by scanning every unit; the oracle for small moduli.
 
-    Membership is whole-multiset equality u*S == S, not the counting
-    shortcut that spectrum.stabilizer takes."""
+    Its independence lies in the exhaustive search over units, where
+    spectrum.stabilizer descends from a level bound.  Membership is act's
+    equality u*S == S, as there, which TestAct and TestMultiset pin."""
     if not s.counts:
         raise ValueError("stabilizer of an empty multiset is undefined")
     return sum(act(u, s) == s for u in range(1, s.p**s.M) if u % s.p != 0)

@@ -180,6 +180,10 @@ class TestClassWalk:
         st.integers(min_value=1, max_value=60),
         st.integers(min_value=1, max_value=10**12),
     )
+    # rows == len(head), a whole class from derivative_values, and rows == 1
+    @example(coefficients=[7, -3, 5, 1], rows=4, modulus=9)
+    @example(coefficients=[-11], rows=1, modulus=5)
+    @example(coefficients=[4, -9, 2], rows=1, modulus=7)
     def test_stepped_reproduces_its_polynomial(self, coefficients, rows, modulus):
         # g of degree D = len(coefficients) - 1 <= 4, stepped from g(0), ..., g(D)
         def g(q):

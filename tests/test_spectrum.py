@@ -404,15 +404,17 @@ class TestTheorem3:
         # theorem3 reads d times the stabilizer of S_1, the values on class
         # 1, whose level-size bound is |Stab(S_1)| here: it scans S_1 once
         # per prime of |Stab(S_1)|, from that prime's top power, and every
-        # scan passes, so the descent never steps down
-        real = spectrum_module._stabilizes
+        # scan passes, so the descent never steps down; a scan is one
+        # act(g, S_1) call, passing when it returns S_1
+        real = spectrum_module.act
         results = []
 
-        def spy(gval, s):
-            results.append(real(gval, s))
-            return results[-1]
+        def spy(g, s):
+            out = real(g, s)
+            results.append(out == s)
+            return out
 
-        monkeypatch.setattr(spectrum_module, "_stabilizes", spy)
+        monkeypatch.setattr(spectrum_module, "act", spy)
         assert theorem3_check(ParameterSet(*args)).holds
         assert results.count(True) == passing
         assert results.count(False) == 0
